@@ -162,6 +162,25 @@ pub enum Listener {
 }
 
 impl Listener {
+    /// The address this listener is bound to, dialable from this host
+    /// (TCP: the bound port, so `host:0` resolves to the real one).
+    ///
+    /// # Errors
+    ///
+    /// The underlying `local_addr` error.
+    pub fn local_addr(&self) -> io::Result<Addr> {
+        match self {
+            Listener::Tcp(l) => Ok(Addr::Tcp(l.local_addr()?.to_string())),
+            Listener::Uds(l) => {
+                let a = l.local_addr()?;
+                let path = a.as_pathname().ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::InvalidInput, "unnamed Unix socket")
+                })?;
+                Ok(Addr::Uds(path.to_path_buf()))
+            }
+        }
+    }
+
     /// Accepts one connection (TCP connections get `TCP_NODELAY`).
     ///
     /// # Errors

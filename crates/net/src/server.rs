@@ -11,6 +11,8 @@
 //!
 //! Inbound `Shutdown` raises the stop flag; the runtime then reports the
 //! server's crash/recovery/WAL stats back with [`NetServer::goodbye`].
+//! Dropping the [`NetServer`] closes its listener and joins the accept
+//! thread, so the address is free again once the server is gone.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,6 +88,12 @@ pub struct NetServer {
     holds: Vec<Mutex<Option<Frame>>>,
     delayer: Mutex<Option<Sender<DelayedFrame>>>,
     delayer_handle: Mutex<Option<JoinHandle<()>>>,
+    /// Where the accept thread listens, as this process dials it.
+    listen: Addr,
+    /// The accept thread; joined on drop.
+    acceptor: Option<JoinHandle<()>>,
+    /// Raised on drop: the accept thread's next wake-up is its last.
+    closing: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
     flight: Arc<FlightRecorder>,
     /// Bumped by [`Transport::on_crash`] (an amnesia crash of this server
@@ -175,6 +183,18 @@ fn conn_loop(
     }
 }
 
+impl Drop for NetServer {
+    fn drop(&mut self) {
+        // Wake the blocked `accept` with a connection of our own; the
+        // accept thread sees `closing` and exits, closing the listener.
+        self.closing.store(true, Ordering::SeqCst);
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = self.listen.connect();
+            let _ = acceptor.join();
+        }
+    }
+}
+
 impl NetServer {
     /// Binds the listener and returns the transport plus the server loop's
     /// inbound mailbox. Accepting and reading happen on background threads
@@ -192,22 +212,29 @@ impl NetServer {
         let injector = Injector::new(cfg.seed, cfg.faults, cfg.servers, nodes, false)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = cfg.listen.listen()?;
+        let listen = listener.local_addr()?;
         let (mailbox_tx, mailbox_rx) = mpsc::channel();
         let driver = Arc::new(DriverSlot(Mutex::new(None)));
         let stop = Arc::new(AtomicBool::new(false));
         let dedup_epoch = Arc::new(AtomicU64::new(0));
         let me = cfg.me;
-        {
-            let mailbox = mailbox_tx.clone();
+        let closing = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let closing = Arc::clone(&closing);
             let driver = Arc::clone(&driver);
             let stop = Arc::clone(&stop);
             let flight = Arc::clone(&flight);
             let dedup_epoch = Arc::clone(&dedup_epoch);
+            // Returning drops (closes) the listener.
             std::thread::spawn(move || loop {
                 let Ok(stream) = listener.accept() else {
                     return;
                 };
-                let mailbox = mailbox.clone();
+                if closing.load(Ordering::SeqCst) {
+                    // Woken by the drop's self-connect.
+                    return;
+                }
+                let mailbox = mailbox_tx.clone();
                 let driver = Arc::clone(&driver);
                 let stop = Arc::clone(&stop);
                 let flight = Arc::clone(&flight);
@@ -215,8 +242,8 @@ impl NetServer {
                 std::thread::spawn(move || {
                     conn_loop(me, &flight, stream, &mailbox, &driver, &stop, &dedup_epoch)
                 });
-            });
-        }
+            })
+        };
         let peers = ConnectionPool::new(
             cfg.peers.clone(),
             // Peer hellos carry no clock sample — only the driver estimates
@@ -240,6 +267,9 @@ impl NetServer {
             holds: (0..cfg.clients).map(|_| Mutex::new(None)).collect(),
             delayer: Mutex::new(None),
             delayer_handle: Mutex::new(None),
+            listen,
+            acceptor: Some(acceptor),
+            closing,
             stop,
             flight,
             dedup_epoch,

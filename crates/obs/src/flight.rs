@@ -19,10 +19,11 @@
 //!
 //! # Consistency
 //!
-//! Writers are single-threaded per ring (each thread records only into its
-//! own ring); readers may race a writer. Every slot carries a version word
-//! written before and after the payload (odd while a write is in flight),
-//! and the snapshot skips slots whose version changed or is odd. All slot
+//! Writers are single-threaded per ring (a thread records only into rings
+//! it registered — one, or one per lane it acts for); readers may race a
+//! writer. Every slot carries a version word written before and after the
+//! payload (odd while a write is in flight), and the snapshot skips slots
+//! whose version changed or is odd. All slot
 //! fields are atomics, so a racing read is well-defined; the residual risk —
 //! a writer lapping a reader by a full ring *during* a six-word read, with
 //! both version loads agreeing — would garble one diagnostic event, never
@@ -273,9 +274,10 @@ struct Slot {
     key: AtomicU64,
 }
 
-/// One thread's bounded event ring. Obtained from
-/// [`FlightRecorder::register_current`] / [`FlightRecorder::thread_ring`];
-/// only the owning thread should record into it.
+/// One lane's bounded event ring. Obtained from
+/// [`FlightRecorder::register_current`] / [`FlightRecorder::thread_ring`] /
+/// [`FlightRecorder::register`]; only the owning thread should record into
+/// it.
 pub struct FlightRing {
     label: String,
     start: Instant,
@@ -453,20 +455,38 @@ impl FlightRecorder {
     /// caches it in thread-local storage, replacing any prior ring this
     /// thread had with this recorder.
     pub fn register_current(&self, label: &str) -> Arc<FlightRing> {
+        let ring = self.register(label);
+        self.bind_current(&ring);
+        ring
+    }
+
+    /// Registers a fresh ring labeled `label` without binding it to any
+    /// thread. A thread that acts for several lanes (one replica host
+    /// driving many replicas) registers one ring per lane and
+    /// [`bind_current`](FlightRecorder::bind_current)s whichever lane it is
+    /// acting for.
+    pub fn register(&self, label: &str) -> Arc<FlightRing> {
         let ring = Arc::new(FlightRing::new(label, self.capacity, self.start));
         self.rings.lock().unwrap().push(Arc::clone(&ring));
+        ring
+    }
+
+    /// Makes `ring` (registered with this recorder) the calling thread's
+    /// ring: [`thread_ring`](FlightRecorder::thread_ring) returns it until
+    /// the next bind.
+    pub fn bind_current(&self, ring: &Arc<FlightRing>) {
         TLS_RINGS.with(|tls| {
             let mut v = tls.borrow_mut();
-            // Drop cache entries whose recorder is gone (we hold the only
-            // other strong ref), so long test binaries don't accumulate.
-            v.retain(|(_, r)| Arc::strong_count(r) > 1);
             if let Some(entry) = v.iter_mut().find(|(id, _)| *id == self.id) {
-                entry.1 = Arc::clone(&ring);
+                entry.1 = Arc::clone(ring);
             } else {
-                v.push((self.id, Arc::clone(&ring)));
+                // Drop cache entries whose recorder is gone (we hold the
+                // only other strong ref), so long test binaries don't
+                // accumulate.
+                v.retain(|(_, r)| Arc::strong_count(r) > 1);
+                v.push((self.id, Arc::clone(ring)));
             }
         });
-        ring
     }
 
     /// The calling thread's ring, registering an anonymous one on first use
@@ -811,6 +831,23 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(times, sorted);
         assert_eq!(rec.rings(), 3);
+    }
+
+    #[test]
+    fn bound_rings_switch_the_thread_ring() {
+        let rec = FlightRecorder::new(8);
+        let a = rec.register("server-0");
+        let b = rec.register("server-1");
+        rec.bind_current(&a);
+        assert!(Arc::ptr_eq(&rec.thread_ring(), &a));
+        rec.bind_current(&b);
+        rec.thread_ring()
+            .record_at(1, FlightKind::ServerAck, 1, 3, 1);
+        assert!(Arc::ptr_eq(&rec.thread_ring(), &b));
+        assert_eq!(rec.rings(), 2, "binding registers nothing new");
+        let dump = rec.dump();
+        assert_eq!(dump.len(), 1);
+        assert_eq!(dump.events[0].ring, "server-1");
     }
 
     #[test]

@@ -34,6 +34,12 @@
 //! resolves the pending window before entering the next. Hence
 //! `BusStats::crash_events` is replayable exactly.
 //!
+//! **Shared mailboxes.** A mailbox belongs to a receiving *thread*, not to
+//! a pid: [`Bus::with_mailboxes`] maps each pid to a mailbox, so every
+//! replica a replica host drives shares that host's one channel and the
+//! host dispatches by `env.dst`. Fates are still drawn per link, in send
+//! order, so stats and coverage do not depend on the mailbox map.
+//!
 //! `std::sync::mpsc` channels are per-sender FIFO and internally
 //! linearizable, which is what makes the per-link message indexing of
 //! [`blunt_net::fault::FaultPlan`] well defined.
@@ -80,6 +86,8 @@ struct BusInner {
 pub struct Bus {
     nodes: u32,
     flight: Arc<FlightRecorder>,
+    /// The sending half of each pid's mailbox (index = pid); pids that
+    /// share a mailbox hold clones of one sender.
     mailboxes: Vec<Sender<Envelope>>,
     inner: Mutex<BusInner>,
     delayer: Mutex<Option<Sender<DelayedMsg>>>,
@@ -87,18 +95,13 @@ pub struct Bus {
 }
 
 impl Bus {
-    /// Creates a bus for `nodes` processes, returning it together with one
-    /// receiver per node (index = pid). With `signal_crashes`, crash
-    /// blackout windows additionally raise the amnesia signal (see the
-    /// module docs); without it, crashes stay pure message blackouts.
-    /// Every send and fault decision is recorded into `flight` on the
-    /// sending thread's ring.
+    /// Creates a bus for `nodes` processes with one mailbox per pid,
+    /// returning it together with one receiver per node (index = pid) —
+    /// [`Bus::with_mailboxes`] under the identity map.
     ///
     /// # Errors
     ///
-    /// Returns the [`FaultConfig::validate`] error for unusable
-    /// configurations (overlapping crash stagger, zero periods,
-    /// oversubscribed rates).
+    /// As [`Bus::with_mailboxes`].
     pub fn new(
         seed: u64,
         cfg: FaultConfig,
@@ -107,18 +110,47 @@ impl Bus {
         signal_crashes: bool,
         flight: Arc<FlightRecorder>,
     ) -> Result<(Bus, Vec<Receiver<Envelope>>), FaultConfigError> {
+        let identity: Vec<usize> = (0..nodes as usize).collect();
+        Bus::with_mailboxes(seed, cfg, servers, &identity, signal_crashes, flight)
+    }
+
+    /// Creates a bus for `mailbox_of.len()` processes where pid `p`
+    /// receives on mailbox `mailbox_of[p]`, returning it together with one
+    /// receiver per mailbox (index = mailbox; every index below the
+    /// largest must be used). With `signal_crashes`, crash blackout
+    /// windows additionally raise the amnesia signal (see the module
+    /// docs); without it, crashes stay pure message blackouts. Every send
+    /// and fault decision is recorded into `flight` on the sending
+    /// thread's ring.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FaultConfig::validate`] error for unusable
+    /// configurations (overlapping crash stagger, zero periods,
+    /// oversubscribed rates).
+    ///
+    /// # Panics
+    ///
+    /// Panics if some mailbox index below the largest is mapped to no pid.
+    pub fn with_mailboxes(
+        seed: u64,
+        cfg: FaultConfig,
+        servers: u32,
+        mailbox_of: &[usize],
+        signal_crashes: bool,
+        flight: Arc<FlightRecorder>,
+    ) -> Result<(Bus, Vec<Receiver<Envelope>>), FaultConfigError> {
+        let nodes = u32::try_from(mailbox_of.len()).expect("node count fits u32");
         let injector = Injector::new(seed, cfg, servers, nodes, signal_crashes)?;
-        let mut senders = Vec::with_capacity(nodes as usize);
-        let mut receivers = Vec::with_capacity(nodes as usize);
-        for _ in 0..nodes {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
+        let count = mailbox_of.iter().max().map_or(0, |m| m + 1);
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..count).map(|_| mpsc::channel()).unzip();
+        for m in 0..count {
+            assert!(mailbox_of.contains(&m), "mailbox {m} has no pid");
         }
         let bus = Bus {
             nodes,
             flight,
-            mailboxes: senders,
+            mailboxes: mailbox_of.iter().map(|&m| senders[m].clone()).collect(),
             inner: Mutex::new(BusInner {
                 injector,
                 holds: (0..nodes * nodes)
@@ -531,6 +563,39 @@ mod tests {
             vec![u32::MAX, 4, 4, 5, 5],
             "one signal, before the first post-window deliveries"
         );
+    }
+
+    #[test]
+    fn shared_mailboxes_keep_per_link_order_and_the_fault_schedule() {
+        // Pids 0 and 1 share mailbox 0; pid 2 has mailbox 1.
+        let (bus, rxs) =
+            Bus::with_mailboxes(0, FaultConfig::none(), 2, &[0, 0, 1], false, flight()).unwrap();
+        assert_eq!(rxs.len(), 2);
+        for sn in 0..10 {
+            bus.send(env(2, sn % 2, sn, false));
+        }
+        bus.flush();
+        drop(bus);
+        let mut got = Vec::new();
+        while let Ok(e) = rxs[0].recv_timeout(Duration::from_millis(200)) {
+            if let Payload::Abd(m) = e.msg {
+                assert_eq!(e.dst.0, m.sn() % 2, "dispatchable by dst");
+                got.push(m.sn());
+            }
+        }
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        // The fault schedule is drawn per link, whatever the mailbox map.
+        let stats = |map: &[usize]| {
+            let (bus, _rxs) =
+                Bus::with_mailboxes(7, FaultConfig::chaos(), 2, map, true, flight()).unwrap();
+            for sn in 0..300 {
+                bus.send(env(2, sn % 2, sn, false));
+                bus.send(env(sn % 2, 2, sn, false));
+            }
+            bus.flush();
+            (bus.stats(), bus.coverage())
+        };
+        assert_eq!(stats(&[0, 0, 1]), stats(&[0, 1, 2]));
     }
 
     #[test]

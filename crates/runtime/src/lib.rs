@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod bus;
+pub mod host;
 pub mod monitor;
 pub mod netrun;
 pub mod recovery;
@@ -47,11 +48,10 @@ pub use blunt_net::{Addr, RemoteServer, ServerTelemetry};
 pub use bus::{Bus, BusStats, Envelope, Payload};
 pub use coverage::{Coverage, LinkCoverage};
 pub use fault::{Fate, FaultConfig, FaultConfigError, FaultPlan};
+pub use host::{host_loop, HostedReplica};
 pub use monitor::{MonitorReport, OnlineMonitor, Violation};
 pub use netrun::{run_chaos_net, run_net_server, NetChaosTopology, NetServeConfig, NetServeReport};
 pub use recovery::{RecoveryMode, RecoverySink, RecoveryStats};
 pub use shm::{run_shm_chaos, ShmChaosConfig, ShmReport};
 pub use storage::{MultiWal, Wal, WalRecord};
-pub use workload::{
-    run_chaos, server_loop, ChaosReport, MonitorOverhead, RuntimeConfig, WATCH_SCHEMA_VERSION,
-};
+pub use workload::{run_chaos, ChaosReport, MonitorOverhead, RuntimeConfig, WATCH_SCHEMA_VERSION};

@@ -3,9 +3,9 @@
 //! The in-process [`crate::workload::run_chaos`] puts every node on a
 //! thread sharing one [`crate::bus::Bus`]. This module splits the same run
 //! across OS processes: each server runs [`run_net_server`] (the `chaos
-//! serve` subcommand) — the *same* `server_loop` step
-//! machine, WAL, and amnesia recovery, but its mailbox is fed by a socket
-//! listener and its replies leave through [`blunt_net::NetServer`] — while
+//! serve` subcommand) — the *same* [`crate::host::host_loop`] over a
+//! one-replica set, WAL, and amnesia recovery, but its mailbox is fed by a
+//! socket listener and its replies leave through [`blunt_net::NetServer`] — while
 //! the driver process runs [`run_chaos_net`]: the same client loops,
 //! online monitor, flight recorder, and watchdog, sending through
 //! [`blunt_net::NetClient`].
@@ -42,10 +42,10 @@ use blunt_obs::flight::{FlightDump, SPAN_NONE};
 use blunt_obs::{FlightKind, FlightRecorder, Histogram, QuantileSketch};
 
 use crate::fault::{FaultConfig, FaultConfigError};
+use crate::host::{host_loop, HostedReplica};
 use crate::recovery::{RecoveryMode, RecoverySink, RecoveryStats};
 use crate::workload::{
-    client_loop, server_loop, spawn_monitor, watch_loop, ChaosReport, MonitorOverhead,
-    RuntimeConfig, Telemetry,
+    client_loop, spawn_monitor, watch_loop, ChaosReport, MonitorOverhead, RuntimeConfig, Telemetry,
 };
 
 /// Configuration for one server process (`chaos serve`).
@@ -222,16 +222,13 @@ pub fn run_net_server(cfg: &NetServeConfig) -> io::Result<NetServeReport> {
     };
     let shard_base = cfg.server_id / shard_size * shard_size;
     let group: Vec<Pid> = (shard_base..shard_base + shard_size).map(Pid).collect();
-    server_loop(
-        Pid(cfg.server_id),
+    let replica = HostedReplica {
+        me: Pid(cfg.server_id),
         group,
-        cfg.recovery,
-        rx,
-        srv.as_ref(),
-        &stop,
-        &sink,
-        &recorder,
-    );
+        mode: cfg.recovery,
+        sink: Arc::clone(&sink),
+    };
+    host_loop(vec![replica], rx, srv.as_ref(), &stop, &recorder);
     srv.flush();
 
     let _ = tele_stop_tx.send(());

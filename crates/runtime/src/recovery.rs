@@ -10,7 +10,7 @@
 //! intentionally-broken variant that serves straight from forgotten state,
 //! which the online linearizability monitor must catch.
 //!
-//! [`RecoveryStats`] are accumulated across server threads through the
+//! [`RecoveryStats`] are accumulated across replica hosts through the
 //! shared atomics of `RecoverySink` and reported per run in
 //! `ChaosReport::recovery`. `crashes` and `recoveries` are deterministic
 //! for a seed (they follow the bus's crash-event detection, which lives in
@@ -90,10 +90,10 @@ pub struct RecoveryStats {
     pub catchup_aborted: u64,
 }
 
-/// The shared accumulation point: server threads add to these atomics, the
+/// The shared accumulation point: replicas add to these atomics, the
 /// workload driver snapshots them into a [`RecoveryStats`] at the end.
-/// Public so external runners (the keyed store) can drive the same server
-/// loop with their own sink.
+/// Public so external runners (the keyed store) can give each replica
+/// group its own sink.
 #[derive(Debug, Default)]
 pub struct RecoverySink {
     crashes: AtomicU64,

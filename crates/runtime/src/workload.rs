@@ -3,12 +3,13 @@
 //! the socket tier — see `crate::netrun`), observed by the
 //! [`OnlineMonitor`].
 //!
-//! Topology: pids `0..servers` are server threads, `servers..servers+clients`
-//! are client threads. Clients issue `ops_per_client` sequential register
-//! operations each, reporting `Call` before the first broadcast and `Return`
-//! after the quorum completes; per-op latency goes into a thread-local
-//! [`Histogram`] that is [`Histogram::merge`]d into the shared one exactly
-//! once at thread exit (no hot-path contention).
+//! Topology: pids `0..servers` are servers, one replica host thread each
+//! ([`crate::host`]); `servers..servers+clients` are client threads.
+//! Clients issue `ops_per_client` sequential register operations each,
+//! reporting `Call` before the first broadcast and `Return` after the
+//! quorum completes; per-op latency goes into a thread-local [`Histogram`]
+//! that is [`Histogram::merge`]d into the shared one exactly once at
+//! thread exit (no hot-path contention).
 //!
 //! Liveness under faults comes from retransmission: when a client waits
 //! longer than its current backoff for a response, it rebroadcasts the
@@ -21,30 +22,28 @@
 //! of the seed.
 //!
 //! **Crash recovery.** Under [`RecoveryMode::Amnesia`] every server keeps a
-//! write-ahead log ([`MultiWal`]) and obeys the *write-ahead ack discipline*: an
-//! update is acknowledged only once a WAL record with a timestamp covering
-//! it is fsynced (group commit: a batch fills, the server goes idle, or an
-//! exempt retransmission applies pressure). When the bus raises the amnesia
-//! signal ([`Payload::Crash`]) at a crash window's exit, the server erases
-//! its volatile state and its unsynced WAL suffix, then recovers — the
-//! blackout window models the outage itself; the power loss materializes at
-//! the reboot, when peers are reachable again for catch-up and the
-//! recovered (or, under `--demo-amnesia`, unrecovered) state is actually
-//! observable by clients. Recovery: replay the durable checkpoint, then
-//! catch up from `quorum − 1` peers via exempt [`Payload::StateQuery`]
-//! state transfer (mirroring the ABD read phase) before serving buffered
-//! traffic. The discipline makes replay alone sound — every *acked* update
-//! is durable, and unacked state a reader observed is re-made durable by
-//! that reader's own write-back quorum — so concurrent recoveries need no
-//! coordination; the catch-up phase only restores freshness. The argument
-//! lives in `docs/RUNTIME.md`.
+//! write-ahead log and obeys the *write-ahead ack discipline*: an update is
+//! acknowledged only once a WAL record with a timestamp covering it is
+//! fsynced. When the bus raises the amnesia signal ([`Payload::Crash`]) at
+//! a crash window's exit, the server erases its volatile state and its
+//! unsynced WAL suffix, then recovers — the blackout window models the
+//! outage itself; the power loss materializes at the reboot, when peers
+//! are reachable again for catch-up and the recovered (or, under
+//! `--demo-amnesia`, unrecovered) state is actually observable by clients.
+//! Recovery replays the durable checkpoint, then catches up from
+//! `quorum − 1` peers before serving buffered traffic (see
+//! [`crate::host`]). The discipline makes replay alone sound — every
+//! *acked* update is durable, and unacked state a reader observed is
+//! re-made durable by that reader's own write-back quorum — so concurrent
+//! recoveries need no coordination; the catch-up phase only restores
+//! freshness. The argument lives in `docs/RUNTIME.md`.
 //!
 //! Clients run in barrier-separated **bursts** of `burst` ops: at each
 //! barrier every in-flight operation has returned, so the monitor is
 //! guaranteed a cut at least every `clients × burst` invocations — kept
 //! under the checker's 64-invocation window by construction (asserted).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,8 +54,6 @@ use std::time::{Duration, Instant};
 
 use blunt_abd::client::{AckEffect, ActiveOp, OpKind, ReplyEffect};
 use blunt_abd::msg::AbdMsg;
-use blunt_abd::server::StoreState;
-use blunt_abd::ts::Ts;
 use blunt_core::history::Action;
 use blunt_core::ids::{InvId, MethodId, ObjId, Pid};
 use blunt_core::value::Val;
@@ -72,14 +69,14 @@ use blunt_net::{SpanCtx, Transport};
 use crate::bus::{Bus, BusStats, Envelope, Payload};
 use crate::coverage::Coverage;
 use crate::fault::{FaultConfig, FaultConfigError};
+use crate::host::{host_loop, HostedReplica};
 use crate::monitor::{MonitorReport, OnlineMonitor};
 use crate::recovery::{RecoveryMode, RecoverySink, RecoveryStats};
-use crate::storage::MultiWal;
 
 /// Configuration of one chaos run.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
-    /// Number of ABD server threads (replicas). Quorum is `⌊n/2⌋ + 1`.
+    /// Number of ABD servers (replicas). Quorum is `⌊n/2⌋ + 1`.
     pub servers: u32,
     /// Number of client threads.
     pub clients: u32,
@@ -386,22 +383,17 @@ pub fn run_chaos(cfg: &RuntimeConfig) -> Result<ChaosReport, FaultConfigError> {
         let rx = rx_iter.next().expect("one receiver per node");
         let bus = Arc::clone(&bus);
         let stop = Arc::clone(&stop);
-        let sink = Arc::clone(&recovery_sink);
         let recorder = Arc::clone(&recorder);
-        let mode = cfg.recovery;
-        // Single-shard topology: every server replicates with every other.
-        let group: Vec<Pid> = (0..cfg.servers).map(Pid).collect();
+        // One host per replica; single-shard topology: every server
+        // replicates with every other.
+        let replica = HostedReplica {
+            me: Pid(s),
+            group: (0..cfg.servers).map(Pid).collect(),
+            mode: cfg.recovery,
+            sink: Arc::clone(&recovery_sink),
+        };
         servers.push(thread::spawn(move || {
-            server_loop(
-                Pid(s),
-                group,
-                mode,
-                rx,
-                bus.as_ref(),
-                &stop,
-                &sink,
-                &recorder,
-            );
+            host_loop(vec![replica], rx, bus.as_ref(), &stop, &recorder);
         }));
     }
     let mut clients = Vec::new();
@@ -706,434 +698,6 @@ pub(crate) fn watch_loop(
                 }
             }
         }
-    }
-}
-
-/// An acknowledgment withheld until the WAL covers its timestamp (the
-/// write-ahead ack discipline).
-struct PendingAck {
-    ts: Ts,
-    dst: Pid,
-    obj: ObjId,
-    sn: u32,
-    /// The request frame's tag, echoed so socket transports can route the
-    /// ack back to the issuing client lane.
-    re: u64,
-    /// The update's trace context, echoed (as the reply hop) on the
-    /// released ack so the exchange stays span-attributed end to end.
-    span: SpanCtx,
-}
-
-/// One ABD replica with its durable storage and recovery machinery.
-struct Server<'a> {
-    me: Pid,
-    /// The replica group `me` belongs to (including `me`): recovery
-    /// catch-up queries exactly these peers, and the catch-up quorum is
-    /// derived from the group size. In single-shard runs this is all
-    /// servers; in the sharded store it is one shard's replicas.
-    group: Vec<Pid>,
-    bus: &'a dyn Transport,
-    stop: &'a AtomicBool,
-    sink: &'a RecoverySink,
-    state: StoreState,
-    wal: MultiWal,
-    pending_acks: Vec<PendingAck>,
-    amnesia: bool,
-    demo_skip: bool,
-    /// Exchange counter for recovery state transfer, scoped to this server.
-    catchup_sn: u64,
-    /// This thread's flight-recorder ring (`server-<pid>`).
-    ring: Arc<FlightRing>,
-}
-
-/// One ABD replica: replies to queries, absorbs updates, and (under
-/// amnesia) crashes and recovers on the bus's signal. Responses inherit
-/// the triggering envelope's exemption so retransmitted exchanges complete
-/// without consuming fault indices.
-///
-/// The replica is **keyed throughout** ([`StoreState`]/[`MultiWal`]): every
-/// ABD message names its [`ObjId`], so the same loop serves the classic
-/// single-register workload and a sharded keyed store (`blunt-store`)
-/// without a mode switch. Public so store runners can reuse it as-is.
-///
-/// `group` is the replica group this server belongs to (including `me`):
-/// recovery catch-up queries exactly these peers and derives its quorum
-/// from the group size, so a sharded store passes one shard's replicas and
-/// a recovering server never wastes catch-up rounds on servers that hold
-/// none of its keys.
-#[allow(clippy::too_many_arguments)] // a thread entry point, not an API
-pub fn server_loop(
-    me: Pid,
-    group: Vec<Pid>,
-    mode: RecoveryMode,
-    rx: Receiver<Envelope>,
-    bus: &dyn Transport,
-    stop: &AtomicBool,
-    sink: &RecoverySink,
-    recorder: &FlightRecorder,
-) {
-    assert!(group.contains(&me), "a replica group includes its own pid");
-    let ring = recorder.register_current(&format!("server-{}", me.0));
-    let (amnesia, fsync_interval, demo_skip) = match mode {
-        RecoveryMode::Stable => (false, 1, false),
-        RecoveryMode::Amnesia {
-            fsync_interval,
-            demo_skip_recovery,
-        } => (true, fsync_interval, demo_skip_recovery),
-    };
-    let mut srv = Server {
-        me,
-        group,
-        bus,
-        stop,
-        sink,
-        state: StoreState::new(Val::Nil),
-        wal: MultiWal::new(fsync_interval),
-        pending_acks: Vec::new(),
-        amnesia,
-        demo_skip,
-        catchup_sn: 0,
-        ring,
-    };
-    loop {
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(env) => {
-                let exempt = env.exempt;
-                srv.ring.record_span(
-                    FlightKind::BusDeliver,
-                    me.0,
-                    u64::from(env.src.0),
-                    env.msg.flight_label(),
-                    env.span.flight_word(),
-                );
-                srv.handle(env, &rx);
-                if exempt && srv.amnesia {
-                    // Retransmission pressure: an exempt arrival means some
-                    // client is stuck waiting, plausibly on a withheld ack —
-                    // group-commit now.
-                    srv.flush_wal();
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if srv.amnesia {
-                    // Idle flush: no batch will fill soon, sync what's
-                    // pending so withheld acks go out.
-                    srv.flush_wal();
-                }
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-impl Server<'_> {
-    fn handle(&mut self, env: Envelope, rx: &Receiver<Envelope>) {
-        match env.msg {
-            Payload::Abd(msg) => self.handle_abd(env.src, msg, env.exempt, env.reply_to, env.span),
-            Payload::Crash { .. } => self.handle_crash(rx),
-            Payload::StateQuery { sn } => self.answer_state_query(env.src, sn, env.reply_to),
-            // A reply to a catch-up exchange that already completed (or was
-            // aborted): stale, ignorable.
-            Payload::StateReply { .. } => {}
-        }
-    }
-
-    fn handle_abd(&mut self, src: Pid, msg: AbdMsg, exempt: bool, re: u64, span: SpanCtx) {
-        match msg {
-            AbdMsg::Query { obj, sn } => {
-                // Queries may serve volatile (unsynced) state: a reader that
-                // returns it first re-makes it durable at an ack-quorum via
-                // its own write-back, so a later crash here cannot un-happen
-                // an observed read (docs/RUNTIME.md).
-                let reply = self.state.reply(obj, sn);
-                self.bus.send(
-                    Envelope::abd(self.me, src, reply, exempt)
-                        .in_reply_to(re)
-                        .with_span(span.reply()),
-                );
-            }
-            AbdMsg::Update { obj, sn, val, ts } => {
-                if !self.amnesia {
-                    self.state.absorb(obj, val, ts);
-                    self.ring.record_span(
-                        FlightKind::ServerAck,
-                        self.me.0,
-                        u64::from(src.0),
-                        u64::from(sn),
-                        span.flight_word(),
-                    );
-                    self.bus.send(
-                        Envelope::abd(self.me, src, AbdMsg::Ack { obj, sn }, exempt)
-                            .in_reply_to(re)
-                            .with_span(span.reply()),
-                    );
-                    return;
-                }
-                // Amnesia-mode acks are always exempt: group commit makes
-                // an ack's timing — and, when a crash clears a withheld
-                // ack, its very existence — depend on flush scheduling, so
-                // routing acks through the per-link schedule would make
-                // `BusStats::offered` timing-dependent and break replay.
-                // The injector still exercises this exchange through the
-                // update leg, which drives the same retransmission path.
-                self.state.absorb(obj, val.clone(), ts);
-                if self.wal.durable_ts(obj) >= ts {
-                    // A durable record already covers this timestamp —
-                    // replay would restore state at least this new, so the
-                    // ack is safe immediately.
-                    self.ring.record_span(
-                        FlightKind::ServerAck,
-                        self.me.0,
-                        u64::from(src.0),
-                        u64::from(sn),
-                        span.flight_word(),
-                    );
-                    self.bus.send(
-                        Envelope::abd(self.me, src, AbdMsg::Ack { obj, sn }, true)
-                            .in_reply_to(re)
-                            .with_span(span.reply()),
-                    );
-                } else {
-                    // Write-ahead ack discipline: log first, ack after the
-                    // covering fsync. (Re-appending a retransmitted update
-                    // whose record is still unsynced is harmless — the
-                    // checkpoint keeps the max.)
-                    self.wal.append(obj, val, ts);
-                    self.pending_acks.push(PendingAck {
-                        ts,
-                        dst: src,
-                        obj,
-                        sn,
-                        re,
-                        span,
-                    });
-                    if self.wal.batch_full() {
-                        self.flush_wal();
-                    }
-                }
-            }
-            // Replies and acks are client-bound; a misrouted one is
-            // ignorable.
-            AbdMsg::Reply { .. } | AbdMsg::Ack { .. } => {}
-        }
-    }
-
-    /// Group commit: one fsync covers every register's pending records
-    /// (the shards share the storage file), then release every
-    /// acknowledgment the new per-register durable frontiers cover —
-    /// which is all of them, since each frontier is that register's max
-    /// appended timestamp. The single fsync amortizes across keys: that
-    /// is the batched-WAL half of the store's group commit.
-    fn flush_wal(&mut self) {
-        let t0 = Instant::now();
-        self.wal.fsync();
-        let fsync_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-        if self.pending_acks.is_empty() {
-            return;
-        }
-        self.ring.record(
-            FlightKind::WalFlush,
-            self.me.0,
-            self.pending_acks.len() as u64,
-            fsync_us,
-        );
-        let mut i = 0;
-        while i < self.pending_acks.len() {
-            if self.pending_acks[i].ts <= self.wal.durable_ts(self.pending_acks[i].obj) {
-                let a = self.pending_acks.swap_remove(i);
-                self.ring.record_span(
-                    FlightKind::ServerAck,
-                    self.me.0,
-                    u64::from(a.dst.0),
-                    u64::from(a.sn),
-                    a.span.flight_word(),
-                );
-                // Exempt like every amnesia-mode ack (see `handle_abd`).
-                self.bus.send(
-                    Envelope::abd(
-                        self.me,
-                        a.dst,
-                        AbdMsg::Ack {
-                            obj: a.obj,
-                            sn: a.sn,
-                        },
-                        true,
-                    )
-                    .in_reply_to(a.re)
-                    .with_span(a.span.reply()),
-                );
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn answer_state_query(&self, peer: Pid, sn: u64, re: u64) {
-        self.bus.send(Envelope {
-            src: self.me,
-            dst: peer,
-            msg: Payload::StateReply {
-                sn,
-                snap: self.state.snapshot_all(),
-            },
-            exempt: true,
-            reply_to: re,
-            span: SpanCtx::NONE,
-        });
-    }
-
-    /// The amnesia signal arrived: crash, recover, and only then serve the
-    /// traffic that queued up behind the recovery. Crashes that land
-    /// *during* a recovery's catch-up are counted and processed iteratively
-    /// here rather than recursively.
-    fn handle_crash(&mut self, rx: &Receiver<Envelope>) {
-        if !self.amnesia {
-            // Stable-mode replicas keep their memory across crash windows;
-            // a stray signal (e.g. a driver misconfigured relative to its
-            // servers in multi-process mode) is ignorable, not fatal.
-            return;
-        }
-        let mut crashes: u64 = 1;
-        let mut buffered: Vec<Envelope> = Vec::new();
-        while crashes > 0 {
-            crashes -= 1;
-            crashes += self.crash_and_recover(rx, &mut buffered);
-        }
-        // FIFO-replay the protocol traffic that arrived mid-recovery.
-        for env in buffered {
-            let re = env.reply_to;
-            let span = env.span;
-            if let Payload::Abd(msg) = env.msg {
-                self.handle_abd(env.src, msg, env.exempt, re, span);
-            }
-        }
-    }
-
-    /// One crash + recovery cycle. Returns the number of *further* crash
-    /// signals that arrived while catching up; protocol envelopes received
-    /// meanwhile are pushed to `buffered` in arrival order.
-    fn crash_and_recover(&mut self, rx: &Receiver<Envelope>, buffered: &mut Vec<Envelope>) -> u64 {
-        // The crash: unsynced WAL suffix and all volatile state are gone.
-        // Withheld acks die with their records — the clients retransmit and
-        // the updates are re-logged.
-        let lost = self.wal.lose_unsynced();
-        self.pending_acks.clear();
-        self.state.forget();
-        // Volatile transport-side state (socket dedup windows) dies with
-        // the server too; the in-process bus keeps none and no-ops this.
-        self.bus.on_crash();
-        self.sink.on_crash(lost as u64);
-        self.ring
-            .record(FlightKind::ServerCrash, self.me.0, lost as u64, 0);
-
-        if self.demo_skip {
-            // The intentionally-broken recovery: no replay, no catch-up —
-            // and storage itself wiped, modeling a server that comes back
-            // blank and immediately serves timestamp (0, 0). The monitor
-            // must flag the stale reads this produces.
-            self.wal.wipe();
-            return 0;
-        }
-        let t0 = Instant::now();
-
-        // Phase 1 — WAL replay: restore every register's newest durable
-        // record. Every acknowledged update is covered by this (write-ahead
-        // ack discipline), so the replica is already *sound* here; what it
-        // may lack is freshness.
-        let checkpoints = self.wal.replay();
-        if !checkpoints.is_empty() {
-            for (obj, val, ts) in checkpoints {
-                self.state.restore(obj, val, ts);
-            }
-            self.sink.on_replay();
-        }
-
-        // Phase 2 — peer catch-up, mirroring the ABD read phase: ask every
-        // peer, wait for quorum−1 answers (self completes the majority),
-        // adopt the newest. Exempt traffic: recovery never perturbs the
-        // fault schedule.
-        let mut nested: u64 = 0;
-        let peers: Vec<Pid> = self
-            .group
-            .iter()
-            .copied()
-            .filter(|p| *p != self.me)
-            .collect();
-        let quorum = u32::try_from(self.group.len()).expect("group fits u32") / 2 + 1;
-        let needed = (quorum.saturating_sub(1) as usize).min(peers.len());
-        if needed > 0 {
-            self.catchup_sn += 1;
-            let sn = self.catchup_sn;
-            for p in &peers {
-                self.bus.send(Envelope {
-                    src: self.me,
-                    dst: *p,
-                    msg: Payload::StateQuery { sn },
-                    exempt: true,
-                    reply_to: 0,
-                    span: SpanCtx::NONE,
-                });
-            }
-            self.sink.on_state_queries(peers.len() as u64);
-            let mut got = 0usize;
-            // Per-register freshest answer across the quorum of snapshots.
-            let mut best: BTreeMap<ObjId, (Val, Ts)> = BTreeMap::new();
-            while got < needed {
-                match rx.recv_timeout(Duration::from_millis(5)) {
-                    Ok(env) => match env.msg {
-                        Payload::StateReply { sn: rsn, snap } if rsn == sn => {
-                            got += 1;
-                            for (obj, val, ts) in snap {
-                                match best.entry(obj) {
-                                    std::collections::btree_map::Entry::Vacant(e) => {
-                                        e.insert((val, ts));
-                                    }
-                                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                                        if ts > e.get().1 {
-                                            e.insert((val, ts));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        Payload::StateReply { .. } => {}
-                        // Another server recovering concurrently: answer
-                        // inline or the two recoveries deadlock.
-                        Payload::StateQuery { sn: qsn } => {
-                            self.answer_state_query(env.src, qsn, env.reply_to);
-                        }
-                        Payload::Crash { .. } => nested += 1,
-                        Payload::Abd(_) => buffered.push(env),
-                    },
-                    Err(RecvTimeoutError::Timeout) => {
-                        if self.stop.load(Ordering::Relaxed) {
-                            // Shutdown: peers may already be gone. The
-                            // replayed checkpoint stands — truncating
-                            // catch-up costs freshness, never soundness.
-                            self.sink.on_catchup_aborted();
-                            break;
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.sink.on_catchup_aborted();
-                        break;
-                    }
-                }
-            }
-            for (obj, (val, ts)) in best {
-                // Freshness only: install iff newer than the replayed
-                // checkpoint (absorb's own rule), register by register.
-                self.state.absorb(obj, val, ts);
-            }
-        }
-        let recovery_us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.sink.on_recovery(recovery_us);
-        self.ring
-            .record(FlightKind::ServerRecover, self.me.0, recovery_us, 0);
-        nested
     }
 }
 

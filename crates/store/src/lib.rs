@@ -3,8 +3,9 @@
 //! The runtime (`blunt_runtime`) drives one replicated register group; this
 //! crate composes *many* of them into a keyed store. A seed-deterministic
 //! consistent-hash [`ring`] maps each key onto one of N independent ABD
-//! shards — disjoint slices of the server set, each running the unmodified
-//! [`blunt_runtime::server_loop`] over its own quorum. Clients are
+//! shards — disjoint slices of the server set, each replica running the
+//! unmodified [`blunt_runtime::host`] step machine over its own quorum,
+//! whole shards packed onto one replica host per core. Clients are
 //! *pipelined*: each keeps up to `pipeline_depth` operations in flight at
 //! once (per-key program order preserved — two ops on the same key never
 //! overlap from one client), and their quorum fan-out is *batched*: a

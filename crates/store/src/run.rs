@@ -3,9 +3,12 @@
 //!
 //! [`run_store`] is the single-process entry: it builds one
 //! [`blunt_runtime::Bus`] spanning every shard's servers plus the clients,
-//! spawns the unmodified [`server_loop`] per replica, and drives the keyed
-//! workload. [`run_store_net`] is the same client side pointed at already-
-//! listening `chaos serve` processes through a [`NetClient`]. Both share
+//! starts one replica host ([`host_loop`]) per core — at most one per
+//! shard — with whole shards placed round-robin (shard `s` on host
+//! `s % hosts`, every replica of a host sharing its mailbox), and drives
+//! the keyed workload. [`run_store_net`] is the same client side pointed
+//! at already-listening `chaos serve` processes (one replica each) through
+//! a [`NetClient`]. Both share
 //! the same client loop, so the two tiers exercise identical protocol
 //! logic and differ only in transport.
 //!
@@ -36,7 +39,8 @@ use blunt_net::{
 use blunt_obs::flight::encode_val;
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
 use blunt_runtime::{
-    server_loop, Bus, MonitorReport, OnlineMonitor, RecoveryMode, RecoverySink, RecoveryStats,
+    host_loop, Bus, HostedReplica, MonitorReport, OnlineMonitor, RecoveryMode, RecoverySink,
+    RecoveryStats,
 };
 use blunt_sim::rng::{RandomSource, SplitMix64};
 
@@ -228,7 +232,8 @@ impl StoreReport {
     }
 }
 
-/// Runs one seeded store configuration on the in-process bus.
+/// Runs one seeded store configuration on the in-process bus, with one
+/// replica host per core (at most one per shard).
 ///
 /// # Errors
 ///
@@ -239,16 +244,35 @@ impl StoreReport {
 /// Panics on an invalid topology (see [`StoreConfig`] field docs) or if a
 /// worker thread dies.
 pub fn run_store(cfg: &StoreConfig) -> Result<StoreReport, FaultConfigError> {
+    let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    run_store_on(cfg, cores)
+}
+
+/// [`run_store`] on `hosts` replica hosts (clamped to `1..=shards`): shard
+/// `s` lives on host `s % hosts`. The host count changes only which thread
+/// serves a replica, never what any replica or link does, so the report's
+/// deterministic parts do not depend on it.
+pub(crate) fn run_store_on(
+    cfg: &StoreConfig,
+    hosts: usize,
+) -> Result<StoreReport, FaultConfigError> {
     cfg.validate();
     let started = Instant::now();
     let servers_total = cfg.servers_total();
-    let nodes = servers_total + cfg.clients;
+    let spr = cfg.servers_per_shard;
+    let hosts = hosts.clamp(1, cfg.shards as usize);
+    let host_of = |pid: u32| (pid / spr) as usize % hosts;
+    // Mailbox `h < hosts` is host h's; each client keeps its own after them.
+    let mailbox_of: Vec<usize> = (0..servers_total)
+        .map(host_of)
+        .chain((0..cfg.clients as usize).map(|c| hosts + c))
+        .collect();
     let recorder = Arc::new(FlightRecorder::new(4096));
-    let (bus, receivers) = Bus::new(
+    let (bus, receivers) = Bus::with_mailboxes(
         cfg.seed,
         cfg.faults,
         servers_total,
-        nodes,
+        &mailbox_of,
         cfg.recovery.is_amnesia(),
         Arc::clone(&recorder),
     )?;
@@ -260,37 +284,32 @@ pub fn run_store(cfg: &StoreConfig) -> Result<StoreReport, FaultConfigError> {
         .map(|_| Arc::new(RecoverySink::default()))
         .collect();
 
-    let mut rx_iter = receivers.into_iter();
-    let mut servers = Vec::new();
+    let mut hosted: Vec<Vec<HostedReplica>> = vec![Vec::new(); hosts];
     for s in 0..servers_total {
-        let rx = rx_iter.next().expect("one receiver per node");
-        let bus = Arc::clone(&bus);
-        let stop = Arc::clone(&stop);
-        let recorder = Arc::clone(&recorder);
-        // The server loop is key-agnostic (its store is a per-key map), so
+        // The replica is key-agnostic (its store is a per-key map), so
         // shard membership is purely a property of who clients address:
         // replica s serves shard s / servers_per_shard. Recovery catch-up
         // stays within the shard — only these replicas hold the keys.
-        let shard = s / cfg.servers_per_shard;
-        let sink = Arc::clone(&sinks[shard as usize]);
-        let group: Vec<Pid> = (shard * cfg.servers_per_shard..(shard + 1) * cfg.servers_per_shard)
-            .map(Pid)
-            .collect();
-        let mode = match cfg.demo_shard {
-            Some(d) if d == shard => RecoveryMode::demo_amnesia(),
-            _ => cfg.recovery,
-        };
+        let shard = s / spr;
+        hosted[host_of(s)].push(HostedReplica {
+            me: Pid(s),
+            group: (shard * spr..(shard + 1) * spr).map(Pid).collect(),
+            mode: match cfg.demo_shard {
+                Some(d) if d == shard => RecoveryMode::demo_amnesia(),
+                _ => cfg.recovery,
+            },
+            sink: Arc::clone(&sinks[shard as usize]),
+        });
+    }
+    let mut rx_iter = receivers.into_iter();
+    let mut servers = Vec::with_capacity(hosts);
+    for replicas in hosted {
+        let rx = rx_iter.next().expect("one receiver per host");
+        let bus = Arc::clone(&bus);
+        let stop = Arc::clone(&stop);
+        let recorder = Arc::clone(&recorder);
         servers.push(thread::spawn(move || {
-            server_loop(
-                Pid(s),
-                group,
-                mode,
-                rx,
-                bus.as_ref(),
-                &stop,
-                &sink,
-                &recorder,
-            );
+            host_loop(replicas, rx, bus.as_ref(), &stop, &recorder);
         }));
     }
     let client_rxs: Vec<Receiver<Envelope>> = rx_iter.collect();
@@ -300,11 +319,11 @@ pub fn run_store(cfg: &StoreConfig) -> Result<StoreReport, FaultConfigError> {
 
     // Every amnesia signal is enqueued synchronously inside a client's
     // send, so by this point (clients joined inside `drive_clients`) all
-    // crash events are in server mailboxes; servers drain them before
+    // crash events are in host mailboxes; hosts drain them before
     // honoring `stop`, keeping the recovery counters deterministic.
     stop.store(true, Ordering::Relaxed);
     for s in servers {
-        s.join().expect("server thread");
+        s.join().expect("replica host thread");
     }
     bus.flush();
     let shard_recoveries: Vec<(u64, u64)> = sinks
@@ -583,6 +602,8 @@ fn spawn_shard_monitor(
 struct OpSpec {
     idx: u64,
     key: ObjId,
+    /// The shard owning `key`, looked up once when the op is drawn.
+    shard: u32,
     is_read: bool,
     /// Already counted toward `store.degraded_ops` (each deferred op
     /// counts once, however many fill passes skip it).
@@ -653,7 +674,6 @@ struct InFlight {
     spec: OpSpec,
     inv: InvId,
     span: SpanCtx,
-    shard: u32,
     machine: Machine,
     t0: Instant,
 }
@@ -724,6 +744,7 @@ fn store_client_loop(
                 OpSpec {
                     idx,
                     key,
+                    shard: ring_map.shard_for(key),
                     is_read,
                     deferred: false,
                 }
@@ -749,7 +770,7 @@ fn store_client_loop(
                     if active_keys.contains(&s.key.0) {
                         continue;
                     }
-                    let h = &health[ring_map.shard_for(s.key) as usize];
+                    let h = &health[s.shard as usize];
                     if h.degraded && h.in_flight >= DEGRADED_INFLIGHT_CAP {
                         if !s.deferred {
                             s.deferred = true;
@@ -768,7 +789,7 @@ fn store_client_loop(
                 sn_counter += 1;
                 let sn = sn_counter;
                 let inv = InvId(u64::from(me.0) * 10_000_000 + spec.idx);
-                let shard = ring_map.shard_for(spec.key);
+                let shard = spec.shard;
                 let (method, arg) = if spec.is_read {
                     (MethodId::READ, Val::Nil)
                 } else {
@@ -837,7 +858,6 @@ fn store_client_loop(
                         spec,
                         inv,
                         span,
-                        shard,
                         machine,
                         t0,
                     },
@@ -904,7 +924,7 @@ fn store_client_loop(
                                         mon_txs,
                                         &mut active_keys,
                                     );
-                                    let h = &mut health[fl.shard as usize];
+                                    let h = &mut health[fl.spec.shard as usize];
                                     h.in_flight -= 1;
                                     if h.in_flight == 0 {
                                         h.due = None;
@@ -928,7 +948,7 @@ fn store_client_loop(
                                         } => {
                                             bt.broadcast_span(
                                                 me,
-                                                &shard_servers[fl.shard as usize],
+                                                &shard_servers[fl.spec.shard as usize],
                                                 &AbdMsg::Update {
                                                     obj,
                                                     sn: new_sn,
@@ -943,7 +963,7 @@ fn store_client_loop(
                                         ReplyEffect::NextQuery { sn: new_sn, .. } => {
                                             bt.broadcast_span(
                                                 me,
-                                                &shard_servers[fl.shard as usize],
+                                                &shard_servers[fl.spec.shard as usize],
                                                 &AbdMsg::Query { obj, sn: new_sn },
                                                 false,
                                                 fl.span,
@@ -987,7 +1007,7 @@ fn store_client_loop(
                                         mon_txs,
                                         &mut active_keys,
                                     );
-                                    let h = &mut health[fl.shard as usize];
+                                    let h = &mut health[fl.spec.shard as usize];
                                     h.in_flight -= 1;
                                     if h.in_flight == 0 {
                                         h.due = None;
@@ -1022,7 +1042,7 @@ fn store_client_loop(
                 }
                 let shard_u32 = u32::try_from(shard_idx).expect("shard index fits u32");
                 for (sn, fl) in &active {
-                    if fl.shard != shard_u32 {
+                    if fl.spec.shard != shard_u32 {
                         continue;
                     }
                     match &fl.machine {
@@ -1039,7 +1059,7 @@ fn store_client_loop(
                                 );
                                 bt.broadcast_span(
                                     me,
-                                    &shard_servers[fl.shard as usize],
+                                    &shard_servers[fl.spec.shard as usize],
                                     &msg,
                                     true,
                                     fl.span,
@@ -1117,9 +1137,64 @@ fn complete_op(
         fl.span.flight_word(),
         u64::from(fl.spec.key.0),
     );
-    let _ = mon_txs[fl.shard as usize].send(Action::Return {
+    let _ = mon_txs[fl.spec.shard as usize].send(Action::Return {
         inv: fl.inv,
         val: ret,
     });
     active_keys.remove(&fl.spec.key.0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `StoreConfig::smoke(seed)` under amnesia recovery with the chaos
+    /// CLI's sharded crash cadence, at pipeline depth `depth`, on 1, 2 and
+    /// `shards` replica hosts.
+    fn layouts(depth: u32) -> Vec<StoreReport> {
+        let mut cfg = StoreConfig::smoke(48879);
+        cfg.recovery = RecoveryMode::amnesia();
+        cfg.faults.crash_len = 4;
+        cfg.faults.crash_period = 20 * u64::from(cfg.servers_total());
+        cfg.pipeline_depth = depth;
+        let runs: Vec<StoreReport> = [1, 2, cfg.shards as usize]
+            .iter()
+            .map(|&hosts| run_store_on(&cfg, hosts).expect("valid fault config"))
+            .collect();
+        for r in &runs {
+            assert!(r.monitor.clean(), "violations: {:?}", r.monitor.violations);
+            assert_eq!(r.ops, 2_000);
+            assert!(r.recovery.crashes >= 1, "no crash fired: {:?}", r.recovery);
+            for &(crashes, recoveries) in &r.shard_recoveries {
+                assert_eq!(crashes, recoveries);
+            }
+            assert_eq!(r.shard_recoveries, runs[0].shard_recoveries);
+        }
+        runs
+    }
+
+    /// How replicas are spread over host threads is invisible in the
+    /// report's deterministic parts: one host for every shard, two, or
+    /// one per shard give byte-identical schedule, coverage and
+    /// recoveries.
+    ///
+    /// Amnesia-mode acks are exempt, so the link schedule counts only the
+    /// replies to queries; with several ops in flight, whether a link's
+    /// `i`-th fate falls on a query or an update is timing, and so is the
+    /// reply count — on any layout, run to run. One op in flight per
+    /// client fixes each link's query/update order, which makes the whole
+    /// schedule a function of the seed; the smoke depth still pins the
+    /// per-shard recoveries.
+    #[test]
+    fn host_count_does_not_change_the_deterministic_report() {
+        let runs = layouts(1);
+        for r in &runs[1..] {
+            assert_eq!(format!("{:?}", r.stats), format!("{:?}", runs[0].stats));
+            assert_eq!(
+                format!("{:?}", r.coverage),
+                format!("{:?}", runs[0].coverage)
+            );
+        }
+        layouts(StoreConfig::smoke(0).pipeline_depth);
+    }
 }
