@@ -1,6 +1,9 @@
 //! chaos — seeded soak runner for the threaded chaos runtime
 //! (`blunt_runtime`): ABD and O^k step machines on real OS threads under
 //! fault injection, with the online linearizability monitor as the oracle.
+//! Every message-passing configuration runs through the keyed store's
+//! client driver (`blunt_store`); the single-register sets are one-shard,
+//! one-key store configs with no pipelining or batching.
 //!
 //! ```sh
 //! cargo run --release -p blunt-bench --bin chaos                 # full soak set
@@ -29,6 +32,9 @@
 //! ops-behind-frontier. Watching is read-only — it never perturbs the
 //! fault schedule, so a watched run and a silent run of the same seed
 //! produce identical deterministic results.
+//! `--watch-out <path>` mirrors the same snapshots as JSONL: the file is
+//! truncated once, then every configuration appends a `chaos_watch` header
+//! naming it followed by its ticks.
 //!
 //! **Flight recorder.** Every run keeps a bounded per-thread event window
 //! (bus sends, fault decisions, op boundaries, acks, WAL flushes, crashes,
@@ -67,10 +73,11 @@
 
 use blunt_bench::parallel_map;
 use blunt_runtime::{
-    run_chaos, run_chaos_net, run_net_server, run_shm_chaos, Addr, ChaosReport, FaultConfig,
-    NetChaosTopology, NetServeConfig, RecoveryMode, RuntimeConfig, ShmChaosConfig,
+    run_net_server, run_shm_chaos, Addr, FaultConfig, NetServeConfig, RecoveryMode, ShmChaosConfig,
 };
-use blunt_store::{run_store, run_store_net, StoreConfig, StoreReport};
+use blunt_store::{
+    run_store, run_store_net_with, run_store_with, RunOptions, StoreConfig, StoreReport,
+};
 use blunt_trace::regress::BenchResults;
 use blunt_trace::{flight_space_time, DiagramOptions};
 use std::path::{Path, PathBuf};
@@ -380,6 +387,9 @@ fn parse_cli() -> Cli {
             }
         }
     }
+    if !cli.store && cli.connect.is_some() && (cli.demo_broken || cli.demo_amnesia) {
+        usage_error("--connect does not combine with the demo modes");
+    }
     if cli.store && cli.demo_amnesia && cli.connect.is_some() {
         // The keyed demo pins one shard's recovery to the broken mode,
         // which only the in-process spawner can arrange per shard.
@@ -394,68 +404,119 @@ fn parse_cli() -> Cli {
     ensure_dir("--dump-dir", &cli.dump_dir);
     if let Some(p) = &cli.watch_out {
         ensure_parent("--watch-out", p);
+        // Truncate once: each configuration appends its own header + ticks.
+        if let Err(e) = std::fs::File::create(p) {
+            usage_error(&format!(
+                "--watch-out: cannot create `{}`: {e}",
+                p.display()
+            ));
+        }
     }
     cli
 }
 
-/// The named message-passing configurations. Without a `--fault-profile`
-/// this is the default set: the full chaos mix at k = 1, 2 plus a
-/// fault-free control. With one, it is the two ABD shapes under that
-/// profile only (the control and shm configs are skipped — the profile IS
-/// the variable under study). Smoke mode shrinks ops, not shape variety.
-fn abd_configs(cli: &Cli) -> Vec<(String, RuntimeConfig)> {
-    let mut cfgs = Vec::new();
+/// One configuration of a run set: its gated name, shape, and preamble
+/// depth.
+struct Run {
+    name: String,
+    cfg: StoreConfig,
+    k: u32,
+}
+
+/// Applies a `--fault-profile`: its fault mix and, for `amnesia`, sound
+/// WAL + peer-catch-up recovery.
+fn apply_profile(cfg: &mut StoreConfig, p: FaultProfile) {
+    cfg.faults = p.faults();
+    if p == FaultProfile::Amnesia {
+        cfg.recovery = RecoveryMode::amnesia();
+    }
+}
+
+/// Applies the overrides every configuration honors:
+/// `--crash-len`/`--crash-period`, `--ops-per-client`, `--recovery`.
+fn apply_overrides(cfg: &mut StoreConfig, cli: &Cli) {
+    if let Some(len) = cli.crash_len {
+        cfg.faults.crash_len = len;
+    }
+    if let Some(period) = cli.crash_period {
+        cfg.faults.crash_period = period;
+    }
+    if let Some(n) = cli.ops_per_client {
+        cfg.ops_per_client = n;
+    }
+    if let Some(r) = cli.recovery {
+        cfg.recovery = r;
+    }
+}
+
+/// The single-register shape for `seed`: smoke- or soak-sized.
+fn register_shape(cli: &Cli, seed: u64) -> StoreConfig {
+    if cli.smoke {
+        StoreConfig::register_smoke(seed)
+    } else {
+        StoreConfig::register_soak(seed)
+    }
+}
+
+/// The named single-register configurations, each a one-shard, one-key
+/// store config. Without a `--fault-profile` this is the default set: the
+/// full chaos mix at k = 1, 2 plus a fault-free control. With one, it is
+/// the two ABD shapes under that profile only (the control and shm configs
+/// are skipped — the profile IS the variable under study). Smoke mode
+/// shrinks ops, not shape variety.
+fn register_configs(cli: &Cli) -> Vec<Run> {
+    let mut runs = Vec::new();
     let mode = if cli.smoke { "smoke" } else { "soak" };
-    let (smoke, seed) = (cli.smoke, cli.seed);
     for k in [1u32, 2] {
-        // Full fault mix at the acceptance shape (8 clients for soak).
-        let mut cfg = if smoke {
-            RuntimeConfig::smoke(seed ^ u64::from(k))
-        } else {
-            RuntimeConfig::soak(seed ^ u64::from(k), k)
-        };
-        cfg.k = k;
+        let mut cfg = register_shape(cli, cli.seed ^ u64::from(k));
         let suffix = match cli.profile {
             Some(p) => {
-                cfg.faults = p.faults();
-                if p == FaultProfile::Amnesia {
-                    cfg.recovery = RecoveryMode::amnesia();
-                }
+                apply_profile(&mut cfg, p);
                 p.name()
             }
             None => "chaos",
         };
-        cfgs.push((format!("{mode}.abd_k{k}_{suffix}"), cfg));
+        runs.push(Run {
+            name: format!("{mode}.abd_k{k}_{suffix}"),
+            cfg,
+            k,
+        });
     }
     if cli.profile.is_none() {
         // A fault-free control at the same shape (k = 1): the protocol under
         // nothing but thread nondeterminism.
-        let mut quiet = if smoke {
-            RuntimeConfig::smoke(seed ^ 0x71)
-        } else {
-            RuntimeConfig::soak(seed ^ 0x71, 1)
-        };
-        quiet.faults = FaultConfig::none();
-        cfgs.push((format!("{mode}.abd_k1_quiet"), quiet));
+        let mut cfg = register_shape(cli, cli.seed ^ 0x71);
+        cfg.faults = FaultConfig::none();
+        runs.push(Run {
+            name: format!("{mode}.abd_k1_quiet"),
+            cfg,
+            k: 1,
+        });
     }
-    for (_, cfg) in &mut cfgs {
-        if let Some(len) = cli.crash_len {
-            cfg.faults.crash_len = len;
-        }
-        if let Some(period) = cli.crash_period {
-            cfg.faults.crash_period = period;
-        }
-        if let Some(n) = cli.ops_per_client {
-            cfg.ops_per_client = n;
-        }
-        if let Some(r) = cli.recovery {
-            cfg.recovery = r;
-        }
-        cfg.watch = cli.watch;
-        cfg.watch_out = cli.watch_out.clone();
-        cfg.flight_dump_dir = Some(cli.dump_dir.clone());
+    for run in &mut runs {
+        apply_overrides(&mut run.cfg, cli);
     }
-    cfgs
+    runs
+}
+
+/// The single-register configuration over `--connect` servers: one shard
+/// spanning every address, at preamble depth `--k`.
+fn net_register_config(cli: &Cli, addrs: &[Addr]) -> Run {
+    let mut cfg = register_shape(cli, cli.seed);
+    cfg.servers_per_shard = u32::try_from(addrs.len()).expect("server count fits u32");
+    let suffix = match cli.profile {
+        Some(p) => {
+            apply_profile(&mut cfg, p);
+            p.name()
+        }
+        None => "chaos",
+    };
+    apply_overrides(&mut cfg, cli);
+    Run {
+        name: format!("net.abd_k{}_{suffix}", cli.k),
+        cfg,
+        k: cli.k,
+    }
 }
 
 fn shm_configs(smoke: bool, seed: u64) -> Vec<(String, ShmChaosConfig)> {
@@ -483,74 +544,33 @@ fn record(name: &str, ops: u64, violations: u64, recoveries: Option<u64>, action
     }
 }
 
-fn print_abd(name: &str, r: &ChaosReport) {
-    println!(
-        "{name:<24} ops {:>7}  {:>9.0} ops/s  lat p50/p99 {:>4}/{:>5} µs  \
-         retrans {:>6}  violations {}",
-        r.ops,
-        r.ops_per_sec(),
-        r.latency_us.p50(),
-        r.latency_us.percentile(0.99),
-        r.retransmissions,
-        r.monitor.violations.len(),
-    );
-    println!(
-        "{:<24} bus: offered {} dropped {} dup {} reorder {} delayed {} \
-         crash {} partition {}",
-        "",
-        r.bus.offered,
-        r.bus.dropped,
-        r.bus.duplicated,
-        r.bus.reordered,
-        r.bus.delayed,
-        r.bus.crash_dropped,
-        r.bus.partition_dropped,
-    );
-    println!(
-        "{:<24} coverage: fates [{}] over {} links  monitor: {} actions, \
-         {:.1} ms observe, lag hwm {}",
-        "",
-        r.coverage.fates_exercised().join(" "),
-        r.coverage.links.len(),
-        r.monitor_overhead.actions,
-        r.monitor_overhead.observe_ns as f64 / 1e6,
-        r.monitor_overhead.lag_ops_hwm,
-    );
-    if r.recovery.crashes > 0 {
-        println!(
-            "{:<24} recovery: crashes {} recovered {} wal lost/replayed {}/{} \
-             state queries {}",
-            "",
-            r.recovery.crashes,
-            r.recovery.recoveries,
-            r.recovery.wal_records_lost,
-            r.recovery.wal_records_replayed,
-            r.recovery.state_queries,
-        );
-    }
+/// Runs one configuration — over `--connect` servers when given, in
+/// process otherwise — with the CLI's watch and flight-dump options. An
+/// unusable fault shape (e.g. a `--crash-len`/`--crash-period` pair whose
+/// windows cannot stagger disjointly) is a usage error, not a soundness
+/// failure: the offending numbers go to stderr and the exit status is 2.
+fn run_config(cli: &Cli, name: &str, cfg: &StoreConfig, k: u32) -> StoreReport {
+    let opts = RunOptions {
+        k,
+        watch: cli.watch,
+        watch_out: cli.watch_out.clone(),
+        flight_dump_dir: Some(cli.dump_dir.clone()),
+        label: name.to_string(),
+    };
+    let report = match &cli.connect {
+        Some(addrs) => run_store_net_with(cfg, addrs, &opts),
+        None => run_store_with(cfg, &opts),
+    };
+    report.unwrap_or_else(|e| usage_error(&e.to_string()))
 }
 
 /// Writes the run's violation flight dump (JSONL + rendered diagram) under
-/// `dump_dir` as `<stem>.flight.jsonl` / `<stem>.diagram.txt`. Returns the
-/// diagram path when a dump existed.
-fn write_flight_artifacts(
-    dump_dir: &Path,
-    stem: &str,
-    report: &ChaosReport,
-    lanes: usize,
-) -> Option<PathBuf> {
-    let dump = report.violation_dump.as_ref()?;
-    Some(write_flight_dump_files(dump_dir, stem, dump, lanes))
-}
-
-/// Writes one flight dump (JSONL + rendered diagram) under `dump_dir`;
-/// shared by the register and store drivers.
-fn write_flight_dump_files(
-    dump_dir: &Path,
-    stem: &str,
-    dump: &blunt_obs::FlightDump,
-    lanes: usize,
-) -> PathBuf {
+/// `dump_dir` as `<stem>.flight.jsonl` / `<stem>.diagram.txt`, if the run
+/// captured one.
+fn write_flight_artifacts(dump_dir: &Path, stem: &str, r: &StoreReport, cfg: &StoreConfig) {
+    let Some(dump) = &r.violation_dump else {
+        return;
+    };
     let _ = std::fs::create_dir_all(dump_dir);
     // Process-unique stem: a second dump under the same name (e.g. two
     // dirty configs in one run, or a demo retried across seeds) gets a
@@ -558,7 +578,7 @@ fn write_flight_dump_files(
     let stem = blunt_obs::flight::unique_dump_stem(stem);
     let jsonl = dump_dir.join(format!("{stem}.flight.jsonl"));
     let diagram = dump_dir.join(format!("{stem}.diagram.txt"));
-    let rendered = flight_space_time(&dump.last_n(800), lanes, &DiagramOptions::default());
+    let rendered = flight_space_time(&dump.last_n(800), cfg.lanes(), &DiagramOptions::default());
     std::fs::write(&jsonl, dump.to_jsonl()).expect("write flight dump");
     std::fs::write(&diagram, rendered).expect("write flight diagram");
     println!(
@@ -566,12 +586,62 @@ fn write_flight_dump_files(
         jsonl.display(),
         diagram.display()
     );
-    diagram
+}
+
+/// Writes a socket run's merged cross-process flight dump: the driver's
+/// window plus every server's goodbye window, shifted onto the driver
+/// clock, rendered with remote-process lanes and span tags. Written
+/// unconditionally (clean runs included) — this is the net tier's
+/// telemetry artifact, not a violation capture. Returns the per-op latency
+/// phase medians from the span-attributed timeline as informational bench
+/// phases (timing-dependent, never gated).
+fn write_merged_flight(
+    cli: &Cli,
+    name: &str,
+    merged: &blunt_obs::FlightDump,
+    cfg: &StoreConfig,
+) -> Vec<(String, f64)> {
+    let jsonl = cli.dump_dir.join("net.merged.flight.jsonl");
+    let diagram = cli.dump_dir.join("net.merged.diagram.txt");
+    let opts = DiagramOptions {
+        lane_width: 40,
+        ..DiagramOptions::default()
+    };
+    std::fs::write(&jsonl, merged.to_jsonl()).expect("write merged flight dump");
+    std::fs::write(
+        &diagram,
+        flight_space_time(&merged.last_n(800), cfg.lanes(), &opts),
+    )
+    .expect("write merged flight diagram");
+    println!(
+        "merged flight dump written to {} (+ {})",
+        jsonl.display(),
+        diagram.display()
+    );
+    let b = blunt_trace::latency_breakdown(merged);
+    if b.ops == 0 {
+        return Vec::new();
+    }
+    println!(
+        "latency breakdown ({} ops): client queue {}µs → wire {}µs → \
+         server ack {}µs → fsync {}µs → quorum complete {}µs",
+        b.ops, b.client_queue_us, b.wire_us, b.server_ack_us, b.fsync_us, b.quorum_complete_us,
+    );
+    [
+        ("client_queue_us", b.client_queue_us),
+        ("wire_us", b.wire_us),
+        ("server_ack_us", b.server_ack_us),
+        ("fsync_us", b.fsync_us),
+        ("quorum_complete_us", b.quorum_complete_us),
+    ]
+    .into_iter()
+    .map(|(phase, us)| (format!("breakdown.{phase}.{name}"), us as f64))
+    .collect()
 }
 
 /// Print the first violation window; exit 0 iff the monitor caught the
 /// intentionally-broken implementation.
-fn report_demo_catch(what: &str, report: &ChaosReport) -> ExitCode {
+fn report_demo_catch(what: &str, report: &StoreReport) -> ExitCode {
     match report.monitor.violations.first() {
         Some(v) => {
             println!(
@@ -592,78 +662,126 @@ fn report_demo_catch(what: &str, report: &ChaosReport) -> ExitCode {
     }
 }
 
+/// `--demo-broken`: replace the quorum read with the unsound single-server
+/// fast read — on the single register, or with `--store` on the keyed
+/// store — and exit 0 iff the monitor catches it.
 fn demo_broken(cli: &Cli) -> ExitCode {
-    let mut cfg = RuntimeConfig::smoke(cli.seed);
-    cfg.broken_reads = true;
-    cfg.read_per_mille = 400;
-    cfg.watch = cli.watch;
-    cfg.watch_out = cli.watch_out.clone();
-    cfg.flight_dump_dir = Some(cli.dump_dir.clone());
-    println!("demo: ABD with an unsound single-server fast read (no quorum, no write-back)\n");
-    let report = match run_chaos(&cfg) {
-        Ok(r) => r,
-        Err(e) => usage_error(&e.to_string()),
+    let (name, mut cfg, what) = if cli.store {
+        let (name, mut cfg) = store_config(cli, cli.seed);
+        // Concentrate the keyspace so stale replicas are exposed quickly.
+        if cli.keys.is_none() {
+            cfg.keys = 8;
+        }
+        (name, cfg, "the unsound keyed read")
+    } else {
+        println!("demo: ABD with an unsound single-server fast read (no quorum, no write-back)\n");
+        (
+            "broken_fast_read".to_string(),
+            StoreConfig::register_smoke(cli.seed),
+            "the unsound read",
+        )
     };
-    print_abd("broken_fast_read", &report);
-    let lanes = (cfg.servers + cfg.clients + 1) as usize;
-    write_flight_artifacts(&cli.dump_dir, "broken_fast_read", &report, lanes);
-    report_demo_catch("the unsound read", &report)
+    cfg.broken_reads = true;
+    // Write-heavy: replicas that miss a dropped update stay stale.
+    cfg.read_per_mille = 400;
+    let report = run_config(cli, &name, &cfg, 1);
+    print_store(&name, &report, &cfg);
+    write_flight_artifacts(&cli.dump_dir, &name, &report, &cfg);
+    report_demo_catch(what, &report)
 }
 
+/// `--demo-amnesia`: amnesia crashes with a recovery that skips WAL replay
+/// and peer catch-up — every replica of the single register, or with
+/// `--store` exactly one shard of a two-shard store, whose monitor must
+/// then be the one that fires.
+///
+/// The proven catch configuration (mirrored by the tests): two clients so
+/// per-link crash-window phases stay unsynchronized — an acknowledged
+/// write can die in a wipe — while the real-time order stays tight enough
+/// that the resulting stale read is provably non-linearizable. Whether a
+/// particular run trips the coincidence is scheduling-sensitive (the
+/// clients' real-time overlap is wall-clock state), so sweep a few seeds
+/// and demand the catch within the budget.
 fn demo_amnesia(cli: &Cli) -> ExitCode {
-    // The proven catch configuration (mirrors the
-    // `broken_amnesia_recovery_is_caught_with_a_rendered_window` test):
-    // two clients so per-link crash-window phases stay unsynchronized —
-    // an acknowledged write can die in a wipe — while the real-time order
-    // stays tight enough that the resulting stale read is provably
-    // non-linearizable. Whether a particular run trips the coincidence is
-    // scheduling-sensitive (the clients' real-time overlap is wall-clock
-    // state), so sweep a few seeds and demand the catch within the budget.
-    println!("demo: amnesia crashes with a recovery that skips WAL replay and peer catch-up\n");
+    let (stem, what) = if cli.store {
+        println!("demo: keyed store where shard 0's recovery skips WAL replay and peer catch-up\n");
+        ("broken_store_amnesia", "the shard that forgot")
+    } else {
+        println!("demo: amnesia crashes with a recovery that skips WAL replay and peer catch-up\n");
+        (
+            "broken_amnesia",
+            "the recovery that skips replay and catch-up",
+        )
+    };
     let mut last = None;
-    let mut lanes = 0usize;
     for attempt in 0..8u64 {
-        let mut cfg = RuntimeConfig::smoke_amnesia(cli.seed + attempt);
-        cfg.recovery = RecoveryMode::demo_amnesia();
+        let seed = cli.seed + attempt;
+        let mut cfg = if cli.store {
+            let mut cfg = StoreConfig::smoke(seed);
+            cfg.shards = 2;
+            cfg.keys = cli.keys.unwrap_or(4);
+            cfg.recovery = RecoveryMode::amnesia();
+            cfg.demo_shard = Some(0);
+            cfg.faults = FaultConfig::chaos();
+            cfg.faults.crash_period = 3 * u64::from(cfg.servers_total());
+            cfg
+        } else {
+            let mut cfg = StoreConfig::register_smoke(seed);
+            cfg.recovery = RecoveryMode::demo_amnesia();
+            // 3 × (2 + 1): windows exactly fill the period.
+            cfg.faults.crash_period = 9;
+            cfg
+        };
         cfg.clients = 2;
         cfg.ops_per_client = 2000;
         cfg.read_per_mille = 400;
         cfg.faults.drop_per_mille = 200;
         cfg.faults.delay_per_mille = 100;
         cfg.faults.crash_len = 2;
-        cfg.faults.crash_period = 9;
-        cfg.watch = cli.watch;
-        cfg.watch_out = cli.watch_out.clone();
-        cfg.flight_dump_dir = Some(cli.dump_dir.clone());
-        lanes = (cfg.servers + cfg.clients + 1) as usize;
-        let report = match run_chaos(&cfg) {
-            Ok(r) => r,
-            Err(e) => usage_error(&e.to_string()),
-        };
-        print_abd(&format!("broken_amnesia[{}]", cli.seed + attempt), &report);
+        let name = format!("{stem}[{seed}]");
+        let report = run_config(cli, &name, &cfg, 1);
+        print_store(&name, &report, &cfg);
         if report.recovery.crashes == 0 {
             eprintln!("\nchaos: no crash events fired — demo config is inert");
             return ExitCode::FAILURE;
         }
         let caught = !report.monitor.violations.is_empty();
-        last = Some(report);
+        last = Some((cfg, report));
         if caught {
             break;
         }
     }
-    let report = last.expect("at least one attempt runs");
-    write_flight_artifacts(&cli.dump_dir, "broken_amnesia", &report, lanes);
-    report_demo_catch("the recovery that skips replay and catch-up", &report)
+    let (cfg, report) = last.expect("at least one attempt runs");
+    write_flight_artifacts(&cli.dump_dir, stem, &report, &cfg);
+    report_demo_catch(what, &report)
 }
 
 /// One config's deterministic summary entry. Timing-dependent numbers
-/// (latency, retransmissions, monitor lag/observe time) are deliberately
-/// excluded so two same-seed runs write byte-identical summaries.
-/// `transport` labels which tier carried the run's messages
-/// (`in-process`, `tcp`, or `uds`) — new in schema v2.
-fn summary_entry(name: &str, r: &ChaosReport, transport: &str) -> blunt_obs::Json {
+/// (latency, retransmissions, degraded ops, monitor lag/observe time) are
+/// deliberately excluded. For stable-recovery runs at pipeline depth 1
+/// every field is seed-deterministic, so two same-seed runs write
+/// byte-identical summaries. Amnesia runs with several ops in flight
+/// narrow that set: acks leave the per-link schedule (they are exempt), so
+/// the reply legs' counts start depending on how the pipelined clients
+/// interleave queries and updates — `bus.offered`/`delivered` and the
+/// server→client link coverage become timing-dependent (docs/STORE.md §
+/// determinism). What stays exact for a seed: `ops`, `violations`,
+/// `monitor_actions`, `recoveries`, `shard_recoveries`,
+/// `bus.crash_events`, and every client→server link. `transport` labels
+/// which tier carried the run's messages (`in-process`, `tcp`, or `uds`).
+fn summary_entry(name: &str, r: &StoreReport, transport: &str) -> blunt_obs::Json {
     use blunt_obs::Json;
-    Json::Obj(vec![
+    let shard_recoveries = r
+        .shard_recoveries
+        .iter()
+        .map(|&(crashes, recoveries)| {
+            Json::Obj(vec![
+                ("crashes".into(), Json::UInt(crashes)),
+                ("recoveries".into(), Json::UInt(recoveries)),
+            ])
+        })
+        .collect();
+    let mut fields = vec![
         ("name".into(), Json::Str(name.into())),
         ("transport".into(), Json::Str(transport.into())),
         ("ops".into(), Json::UInt(r.ops)),
@@ -671,29 +789,31 @@ fn summary_entry(name: &str, r: &ChaosReport, transport: &str) -> blunt_obs::Jso
             "violations".into(),
             Json::UInt(r.monitor.violations.len() as u64),
         ),
+        ("monitor_actions".into(), Json::UInt(r.monitor_actions)),
         ("recoveries".into(), Json::UInt(r.recovery.recoveries)),
-        (
-            "monitor_actions".into(),
-            Json::UInt(r.monitor_overhead.actions),
-        ),
+        ("shard_recoveries".into(), Json::Arr(shard_recoveries)),
         (
             "bus".into(),
             Json::Obj(vec![
-                ("offered".into(), Json::UInt(r.bus.offered)),
-                ("dropped".into(), Json::UInt(r.bus.dropped)),
-                ("duplicated".into(), Json::UInt(r.bus.duplicated)),
-                ("reordered".into(), Json::UInt(r.bus.reordered)),
-                ("delayed".into(), Json::UInt(r.bus.delayed)),
-                ("crash_dropped".into(), Json::UInt(r.bus.crash_dropped)),
+                ("offered".into(), Json::UInt(r.stats.offered)),
+                ("dropped".into(), Json::UInt(r.stats.dropped)),
+                ("duplicated".into(), Json::UInt(r.stats.duplicated)),
+                ("reordered".into(), Json::UInt(r.stats.reordered)),
+                ("delayed".into(), Json::UInt(r.stats.delayed)),
+                ("crash_dropped".into(), Json::UInt(r.stats.crash_dropped)),
                 (
                     "partition_dropped".into(),
-                    Json::UInt(r.bus.partition_dropped),
+                    Json::UInt(r.stats.partition_dropped),
                 ),
-                ("crash_events".into(), Json::UInt(r.bus.crash_events)),
+                ("crash_events".into(), Json::UInt(r.stats.crash_events)),
             ]),
         ),
         ("coverage".into(), r.coverage.to_json()),
-    ])
+    ];
+    if r.merged_flight.is_some() {
+        fields.push(("servers".into(), servers_json(&r.remote_servers)));
+    }
+    Json::Obj(fields)
 }
 
 /// The per-server telemetry sections of a net-transport config entry
@@ -870,161 +990,6 @@ fn run_serve(args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// The `--connect` driver: one configuration over external servers. Same
-/// monitor, flight recorder, summary, and exit discipline as the
-/// in-process sets — only the transport differs.
-fn run_net_driver(cli: &Cli, addrs: &[Addr]) -> ExitCode {
-    let seed = cli.seed;
-    let transport = addrs[0].kind();
-    let suffix = match cli.profile {
-        Some(p) => p.name(),
-        None => "chaos",
-    };
-    let name = format!("net.abd_k{}_{suffix}", cli.k);
-    let mut cfg = if cli.smoke {
-        RuntimeConfig::smoke(seed)
-    } else {
-        RuntimeConfig::soak(seed, cli.k)
-    };
-    cfg.k = cli.k;
-    cfg.servers = u32::try_from(addrs.len()).expect("server count fits u32");
-    if let Some(p) = cli.profile {
-        cfg.faults = p.faults();
-        if p == FaultProfile::Amnesia {
-            cfg.recovery = RecoveryMode::amnesia();
-        }
-    }
-    if let Some(len) = cli.crash_len {
-        cfg.faults.crash_len = len;
-    }
-    if let Some(period) = cli.crash_period {
-        cfg.faults.crash_period = period;
-    }
-    if let Some(n) = cli.ops_per_client {
-        cfg.ops_per_client = n;
-    }
-    if let Some(r) = cli.recovery {
-        cfg.recovery = r;
-    }
-    cfg.watch = cli.watch;
-    cfg.watch_out = cli.watch_out.clone();
-    cfg.flight_dump_dir = Some(cli.dump_dir.clone());
-    println!(
-        "chaos: net driver ({transport}), {} servers, seed {seed:#x} (replay with --seed {seed})\n",
-        addrs.len()
-    );
-    let topo = NetChaosTopology {
-        servers: addrs.to_vec(),
-    };
-    let t0 = Instant::now();
-    let report = match run_chaos_net(&cfg, &topo) {
-        Ok(r) => r,
-        Err(e) => usage_error(&e.to_string()),
-    };
-    let mut phases = vec![
-        (name.clone(), t0.elapsed().as_secs_f64() * 1000.0),
-        (
-            format!("monitor.{name}"),
-            report.monitor_overhead.observe_ns as f64 / 1e6,
-        ),
-        (
-            format!("monitor_lag_ops.{name}"),
-            report.monitor_overhead.lag_ops_hwm as f64,
-        ),
-    ];
-    let lanes = (cfg.servers + cfg.clients + 1) as usize;
-    // The merged cross-process flight dump: the driver's window plus every
-    // server's goodbye window, shifted onto the driver clock, rendered with
-    // remote-process lanes and span tags. Written unconditionally (clean
-    // runs included) — this is the net tier's telemetry artifact, not a
-    // violation capture.
-    if let Some(merged) = &report.merged_flight {
-        let jsonl = cli.dump_dir.join("net.merged.flight.jsonl");
-        let diagram = cli.dump_dir.join("net.merged.diagram.txt");
-        let opts = DiagramOptions {
-            lane_width: 40,
-            ..DiagramOptions::default()
-        };
-        std::fs::write(&jsonl, merged.to_jsonl()).expect("write merged flight dump");
-        std::fs::write(
-            &diagram,
-            flight_space_time(&merged.last_n(800), lanes, &opts),
-        )
-        .expect("write merged flight diagram");
-        println!(
-            "merged flight dump written to {} (+ {})",
-            jsonl.display(),
-            diagram.display()
-        );
-        // Per-op latency phase medians from the span-attributed timeline —
-        // informational bench phases (timing-dependent, never gated).
-        let b = blunt_trace::latency_breakdown(merged);
-        if b.ops > 0 {
-            phases.push((
-                format!("breakdown.client_queue_us.{name}"),
-                b.client_queue_us as f64,
-            ));
-            phases.push((format!("breakdown.wire_us.{name}"), b.wire_us as f64));
-            phases.push((
-                format!("breakdown.server_ack_us.{name}"),
-                b.server_ack_us as f64,
-            ));
-            phases.push((format!("breakdown.fsync_us.{name}"), b.fsync_us as f64));
-            phases.push((
-                format!("breakdown.quorum_complete_us.{name}"),
-                b.quorum_complete_us as f64,
-            ));
-            println!(
-                "latency breakdown ({} ops): client queue {}µs → wire {}µs → \
-                 server ack {}µs → fsync {}µs → quorum complete {}µs",
-                b.ops,
-                b.client_queue_us,
-                b.wire_us,
-                b.server_ack_us,
-                b.fsync_us,
-                b.quorum_complete_us,
-            );
-        }
-    }
-    phases.sort_by(|a, b| a.0.cmp(&b.0));
-    print_abd(&name, &report);
-    record(
-        &name,
-        report.ops,
-        report.monitor.violations.len() as u64,
-        Some(report.recovery.recoveries),
-        Some(report.monitor_overhead.actions),
-    );
-    let mut entry = summary_entry(&name, &report, transport);
-    if let blunt_obs::Json::Obj(fields) = &mut entry {
-        fields.push(("servers".into(), servers_json(&report.remote_servers)));
-    }
-    let summaries = vec![entry];
-    if !report.monitor.clean() {
-        write_flight_artifacts(&cli.dump_dir, &name, &report, lanes);
-    }
-    ensure_parent("--results-out", &cli.results_out);
-    let mut results = BenchResults::from_snapshot(phases, &blunt_obs::snapshot());
-    results
-        .counters
-        .retain(|(name, _)| name.starts_with("runtime.chaos."));
-    results.seed = Some(seed);
-    std::fs::write(&cli.results_out, format!("{}\n", results.to_json()))
-        .expect("write BENCH_results.json");
-    println!("\nbench results written to {}", cli.results_out.display());
-    let summary = summary_doc(seed, if cli.smoke { "smoke" } else { "soak" }, summaries);
-    ensure_parent("--summary-out", &cli.summary_out);
-    std::fs::write(&cli.summary_out, format!("{summary}\n")).expect("write run summary");
-    println!("run summary written to {}", cli.summary_out.display());
-    if report.monitor.clean() {
-        println!("verdict: all configurations linearizable (0 violations)");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("verdict: VIOLATIONS in {name}");
-        ExitCode::FAILURE
-    }
-}
-
 /// Builds the store run from the CLI: the CI smoke shape or the 1M-op
 /// bench shape, with the fault profile and `--keys`/`--shards`/
 /// `--pipeline-depth`/`--batch` overrides applied on top. Returns the
@@ -1037,10 +1002,7 @@ fn store_config(cli: &Cli, seed: u64) -> (String, StoreConfig) {
     };
     let suffix = match cli.profile {
         Some(p) => {
-            cfg.faults = p.faults();
-            if p == FaultProfile::Amnesia {
-                cfg.recovery = RecoveryMode::amnesia();
-            }
+            apply_profile(&mut cfg, p);
             p.name()
         }
         // The constructors' defaults: light faults for smoke, fault-free
@@ -1065,9 +1027,6 @@ fn store_config(cli: &Cli, seed: u64) -> (String, StoreConfig) {
     if let Some(n) = cli.batch {
         cfg.batch_max = n;
     }
-    if let Some(n) = cli.ops_per_client {
-        cfg.ops_per_client = n;
-    }
     if cli.profile == Some(FaultProfile::Amnesia) {
         // The register sets' amnesia windows (8 in every 200 link events)
         // assume a handful of servers; a sharded topology runs dozens, and
@@ -1078,15 +1037,7 @@ fn store_config(cli: &Cli, seed: u64) -> (String, StoreConfig) {
         cfg.faults.crash_len = 4;
         cfg.faults.crash_period = 20 * u64::from(cfg.servers_total());
     }
-    if let Some(r) = cli.recovery {
-        cfg.recovery = r;
-    }
-    if let Some(len) = cli.crash_len {
-        cfg.faults.crash_len = len;
-    }
-    if let Some(period) = cli.crash_period {
-        cfg.faults.crash_period = period;
-    }
+    apply_overrides(&mut cfg, cli);
     // Turn the config asserts that a CLI user can actually trip into
     // usage errors naming the offending numbers.
     if u64::from(cfg.pipeline_depth) > cfg.burst {
@@ -1152,7 +1103,7 @@ fn print_store(name: &str, r: &StoreReport, cfg: &StoreConfig) {
         r.stats.partition_dropped,
     );
     let h = batch_histogram();
-    if h.count > 0 {
+    if cfg.batch_max > 1 && h.count > 0 {
         println!(
             "{:<24} batching: {} flushes carried {} envelopes — per-flush \
              p50/p99/max {}/{}/{} (mean {:.1})",
@@ -1167,12 +1118,14 @@ fn print_store(name: &str, r: &StoreReport, cfg: &StoreConfig) {
     }
     println!(
         "{:<24} coverage: fates [{}] over {} links  monitors: {} actions \
-         across {} shards",
+         across {} shards, {:.1} ms observe, lag hwm {}",
         "",
         r.coverage.fates_exercised().join(" "),
         r.coverage.links.len(),
         r.monitor_actions,
         cfg.shards,
+        r.monitor_observe_ns as f64 / 1e6,
+        r.monitor_lag_ops_hwm,
     );
     if r.recovery.crashes > 0 {
         println!(
@@ -1198,60 +1151,6 @@ fn print_store(name: &str, r: &StoreReport, cfg: &StoreConfig) {
             per.join("  ")
         );
     }
-}
-
-/// The store entry for the run summary, same shape contract as
-/// [`summary_entry`]. For stable-recovery runs every field is
-/// seed-deterministic. Amnesia runs narrow that set: acks leave the
-/// per-link schedule (they are exempt), so the reply legs' counts start
-/// depending on how the pipelined clients interleave queries and updates
-/// — `bus.offered`/`delivered` and the server→client link coverage become
-/// timing-dependent (docs/STORE.md § determinism). What stays exact for a
-/// seed, and what the tests pin byte-for-byte: `ops`, `violations`,
-/// `monitor_actions`, `recoveries`, `shard_recoveries`,
-/// `bus.crash_events`, and every client→server link. `degraded_ops` is
-/// NOT here at all: deferral depends on wall-clock backoff timing.
-fn store_summary_entry(name: &str, r: &StoreReport, transport: &str) -> blunt_obs::Json {
-    use blunt_obs::Json;
-    let shard_recoveries = r
-        .shard_recoveries
-        .iter()
-        .map(|&(crashes, recoveries)| {
-            Json::Obj(vec![
-                ("crashes".into(), Json::UInt(crashes)),
-                ("recoveries".into(), Json::UInt(recoveries)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("name".into(), Json::Str(name.into())),
-        ("transport".into(), Json::Str(transport.into())),
-        ("ops".into(), Json::UInt(r.ops)),
-        (
-            "violations".into(),
-            Json::UInt(r.monitor.violations.len() as u64),
-        ),
-        ("monitor_actions".into(), Json::UInt(r.monitor_actions)),
-        ("recoveries".into(), Json::UInt(r.recovery.recoveries)),
-        ("shard_recoveries".into(), Json::Arr(shard_recoveries)),
-        (
-            "bus".into(),
-            Json::Obj(vec![
-                ("offered".into(), Json::UInt(r.stats.offered)),
-                ("dropped".into(), Json::UInt(r.stats.dropped)),
-                ("duplicated".into(), Json::UInt(r.stats.duplicated)),
-                ("reordered".into(), Json::UInt(r.stats.reordered)),
-                ("delayed".into(), Json::UInt(r.stats.delayed)),
-                ("crash_dropped".into(), Json::UInt(r.stats.crash_dropped)),
-                (
-                    "partition_dropped".into(),
-                    Json::UInt(r.stats.partition_dropped),
-                ),
-                ("crash_events".into(), Json::UInt(r.stats.crash_events)),
-            ]),
-        ),
-        ("coverage".into(), r.coverage.to_json()),
-    ])
 }
 
 /// The CI batch-size artifact: the full per-flush histogram plus its
@@ -1287,199 +1186,171 @@ fn write_batch_hist(path: &Path, name: &str, r: &StoreReport) {
     println!("batch histogram written to {}", path.display());
 }
 
-/// The keyed `--demo-amnesia` driver: a two-shard store where shard 0's
-/// recovery is intentionally broken (no WAL replay, no peer catch-up)
-/// while shard 1 recovers soundly. The broken shard's monitor must catch
-/// the stale keyed reads. Same two-client rationale as the register demo:
-/// per-link crash-window phases stay unsynchronized, so an acknowledged
-/// write can die in a wipe while a second client's read stays real-time
-/// ordered after the ack — and whether a particular run trips that
-/// coincidence is scheduling-sensitive, so sweep a few seeds and demand
-/// the catch within the budget.
-fn demo_store_amnesia(cli: &Cli) -> ExitCode {
-    println!("demo: keyed store where shard 0's recovery skips WAL replay and peer catch-up\n");
-    let mut last: Option<(StoreConfig, StoreReport)> = None;
-    for attempt in 0..8u64 {
-        let mut cfg = StoreConfig::smoke(cli.seed + attempt);
-        cfg.shards = 2;
-        cfg.clients = 2;
-        cfg.ops_per_client = 2000;
-        cfg.keys = cli.keys.unwrap_or(4);
-        cfg.read_per_mille = 400;
-        cfg.recovery = RecoveryMode::amnesia();
-        cfg.demo_shard = Some(0);
-        cfg.faults = FaultConfig::chaos();
-        cfg.faults.drop_per_mille = 200;
-        cfg.faults.delay_per_mille = 100;
-        cfg.faults.crash_len = 2;
-        cfg.faults.crash_period = 3 * u64::from(cfg.servers_total());
-        let report = match run_store(&cfg) {
-            Ok(r) => r,
-            Err(e) => usage_error(&e.to_string()),
-        };
-        print_store(
-            &format!("broken_store_amnesia[{}]", cli.seed + attempt),
-            &report,
-            &cfg,
-        );
-        if report.recovery.crashes == 0 {
-            eprintln!("\nchaos: no crash events fired — demo config is inert");
-            return ExitCode::FAILURE;
-        }
-        let caught = !report.monitor.violations.is_empty();
-        last = Some((cfg, report));
-        if caught {
-            break;
-        }
-    }
-    let (cfg, report) = last.expect("at least one attempt runs");
-    if let Some(dump) = &report.violation_dump {
-        let lanes = (cfg.servers_total() + cfg.clients + cfg.shards) as usize;
-        write_flight_dump_files(&cli.dump_dir, "broken_store_amnesia", dump, lanes);
-    }
-    match report.monitor.violations.first() {
-        Some(v) => {
-            println!(
-                "\nfirst violation window (object {:?}, segment {}):\n",
-                v.obj, v.segment
-            );
-            println!("{}", v.rendered);
-            println!(
-                "the monitor caught the shard that forgot: {} violation window(s) total",
-                report.monitor.violations.len()
-            );
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!(
-                "\nchaos: the recovery that skips replay and catch-up was NOT caught — monitor bug"
-            );
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `--store` driver: one keyed-store run (in-process, or over sockets
-/// with `--connect`), with the same results/summary/exit discipline as the
-/// register sets plus the batch-size artifact.
-fn run_store_mode(cli: &Cli) -> ExitCode {
-    if cli.demo_amnesia {
-        return demo_store_amnesia(cli);
-    }
-    let (name, mut cfg) = store_config(cli, cli.seed);
-    if cli.demo_broken {
-        cfg.broken_reads = true;
-        // Concentrate the keyspace and go write-heavy so stale replicas
-        // are exposed quickly (mirrors the single-register demo).
-        if cli.keys.is_none() {
-            cfg.keys = 8;
-        }
-        cfg.read_per_mille = 400;
-    }
+/// Runs a configuration set — the single-register sets, one `--connect`
+/// configuration, or the `--store` run — and writes the gate input, the
+/// run summary, and (with `--store`) the batch-size artifact.
+fn run_set(cli: &Cli, runs: Vec<Run>) -> ExitCode {
+    let seed = cli.seed;
     let transport = match &cli.connect {
         Some(addrs) => addrs[0].kind(),
         None => "in-process",
     };
-    println!(
-        "chaos: keyed store ({transport}), {} shards × {} replicas, {} keys, \
-         {} clients × {} ops, seed {seed:#x} (replay with --seed {seed})\n",
-        cfg.shards,
-        cfg.servers_per_shard,
-        cfg.keys,
-        cfg.clients,
-        cfg.ops_per_client,
-        seed = cli.seed,
-    );
-    let t0 = Instant::now();
-    let report = match &cli.connect {
-        Some(addrs) => run_store_net(&cfg, addrs),
-        None => run_store(&cfg),
+    let mode = match (cli.smoke, cli.store) {
+        (true, _) => "smoke",
+        (false, true) => "bench",
+        (false, false) => "soak",
     };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => usage_error(&e.to_string()),
-    };
-    let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    print_store(&name, &report, &cfg);
-    // Recoveries are gated only under an amnesia recovery mode; stable
-    // store runs keep their historical counter set (no `.recoveries` key),
-    // so the committed baselines stay byte-identical.
-    record(
-        &name,
-        report.ops,
-        report.monitor.violations.len() as u64,
-        cfg.recovery
-            .is_amnesia()
-            .then_some(report.recovery.recoveries),
-        Some(report.monitor_actions),
-    );
-    // Throughput and the batch-size distribution ride as phases: they are
-    // timing-dependent, so the gate treats them as informational unless
-    // bench-report runs with --strict-times.
-    let h = batch_histogram();
-    let mut phases = vec![
-        (name.clone(), wall_ms),
-        (format!("store_ops_per_sec.{name}"), report.ops_per_sec()),
-        (format!("store_batch_per_flush_p50.{name}"), h.p50() as f64),
-        (
-            format!("store_batch_per_flush_p99.{name}"),
-            h.percentile(0.99) as f64,
-        ),
-        (format!("store_batch_per_flush_mean.{name}"), h.mean()),
-    ];
-    phases.sort_by(|a, b| a.0.cmp(&b.0));
-    if !report.monitor.clean() {
-        if let Some(dump) = &report.violation_dump {
-            let lanes = (cfg.servers_total() + cfg.clients + cfg.shards) as usize;
-            write_flight_dump_files(&cli.dump_dir, &name, dump, lanes);
+    if cli.store {
+        let cfg = &runs[0].cfg;
+        println!(
+            "chaos: keyed store ({transport}), {} shards × {} replicas, {} keys, \
+             {} clients × {} ops, seed {seed:#x} (replay with --seed {seed})\n",
+            cfg.shards, cfg.servers_per_shard, cfg.keys, cfg.clients, cfg.ops_per_client,
+        );
+    } else if let Some(addrs) = &cli.connect {
+        println!(
+            "chaos: net driver ({transport}), {} servers, seed {seed:#x} (replay with --seed {seed})\n",
+            addrs.len()
+        );
+    } else {
+        println!(
+            "chaos: {} set{}, seed {seed:#x} (replay with --seed {seed})\n",
+            if cli.smoke { "smoke" } else { "full soak" },
+            match cli.profile {
+                Some(p) => format!(", fault profile {}", p.name()),
+                None => String::new(),
+            }
+        );
+    }
+    let mut phases: Vec<(String, f64)> = Vec::new();
+    let mut dirty: Vec<String> = Vec::new();
+    let mut summaries: Vec<blunt_obs::Json> = Vec::new();
+    let mut last = None;
+
+    for Run { name, cfg, k } in runs {
+        let t0 = Instant::now();
+        let report = run_config(cli, &name, &cfg, k);
+        phases.push((name.clone(), t0.elapsed().as_secs_f64() * 1000.0));
+        // Monitor-overhead phases for the bench gate: wall time inside
+        // `observe` and the backlog high-water mark. Timing-dependent, so
+        // informational unless bench-report runs with --strict-times.
+        phases.push((
+            format!("monitor.{name}"),
+            report.monitor_observe_ns as f64 / 1e6,
+        ));
+        phases.push((
+            format!("monitor_lag_ops.{name}"),
+            report.monitor_lag_ops_hwm as f64,
+        ));
+        if let Some(merged) = &report.merged_flight {
+            phases.extend(write_merged_flight(cli, &name, merged, &cfg));
+        }
+        print_store(&name, &report, &cfg);
+        // The single-register configs always carry a `.recoveries` counter;
+        // store configs only under amnesia recovery, so the committed
+        // baselines keep their historical counter sets.
+        record(
+            &name,
+            report.ops,
+            report.monitor.violations.len() as u64,
+            (!cli.store || cfg.recovery.is_amnesia()).then_some(report.recovery.recoveries),
+            Some(report.monitor_actions),
+        );
+        summaries.push(summary_entry(&name, &report, transport));
+        if !report.monitor.clean() {
+            write_flight_artifacts(&cli.dump_dir, &name, &report, &cfg);
+            dirty.push(name.clone());
+        }
+        last = Some((name, report));
+    }
+    if cli.store {
+        // Throughput and the batch-size distribution ride as phases: they
+        // are timing-dependent, so the gate treats them as informational
+        // unless bench-report runs with --strict-times.
+        let (name, report) = last.as_ref().expect("one store run");
+        let h = batch_histogram();
+        phases.extend([
+            (format!("store_ops_per_sec.{name}"), report.ops_per_sec()),
+            (format!("store_batch_per_flush_p50.{name}"), h.p50() as f64),
+            (
+                format!("store_batch_per_flush_p99.{name}"),
+                h.percentile(0.99) as f64,
+            ),
+            (format!("store_batch_per_flush_mean.{name}"), h.mean()),
+        ]);
+    } else if cli.profile.is_none() && cli.connect.is_none() {
+        for (name, cfg) in shm_configs(cli.smoke, seed) {
+            let t0 = Instant::now();
+            let report = run_shm_chaos(&cfg);
+            phases.push((name.clone(), t0.elapsed().as_secs_f64() * 1000.0));
+            println!(
+                "{name:<24} ops {:>7}  violations {}",
+                report.ops,
+                report.monitor.violations.len()
+            );
+            record(
+                &name,
+                report.ops,
+                report.monitor.violations.len() as u64,
+                None,
+                None,
+            );
+            summaries.push(blunt_obs::Json::Obj(vec![
+                ("name".into(), blunt_obs::Json::Str(name.clone())),
+                (
+                    "transport".into(),
+                    blunt_obs::Json::Str("in-process".into()),
+                ),
+                ("ops".into(), blunt_obs::Json::UInt(report.ops)),
+                (
+                    "violations".into(),
+                    blunt_obs::Json::UInt(report.monitor.violations.len() as u64),
+                ),
+            ]));
+            if !report.monitor.clean() {
+                dirty.push(name);
+            }
         }
     }
+    phases.sort_by(|a, b| a.0.cmp(&b.0));
+
+    // The schema-versioned gate input (docs/OBS_SCHEMA.md): per-config
+    // wall-times plus the `runtime.chaos.*` counters, seed echoed for
+    // replay. Only those counters are kept — they are deterministic for a
+    // seed, unlike e.g. the monitor's segment counts (cut placement is
+    // scheduling-dependent) or the shared `lincheck.wgl.*` totals, which
+    // would collide with the experiments baseline.
     ensure_parent("--results-out", &cli.results_out);
     let mut results = BenchResults::from_snapshot(phases, &blunt_obs::snapshot());
     results
         .counters
         .retain(|(name, _)| name.starts_with("runtime.chaos."));
-    results.seed = Some(cli.seed);
+    results.seed = Some(seed);
     std::fs::write(&cli.results_out, format!("{}\n", results.to_json()))
         .expect("write BENCH_results.json");
     println!("\nbench results written to {}", cli.results_out.display());
-    let summaries = vec![store_summary_entry(&name, &report, transport)];
-    let summary = summary_doc(
-        cli.seed,
-        if cli.smoke { "smoke" } else { "bench" },
-        summaries,
-    );
+
+    // The machine-readable run summary: deterministic fields only (see
+    // summary_entry), so replaying a seed reproduces it byte-for-byte.
+    let summary = summary_doc(seed, mode, summaries);
     ensure_parent("--summary-out", &cli.summary_out);
     std::fs::write(&cli.summary_out, format!("{summary}\n")).expect("write run summary");
     println!("run summary written to {}", cli.summary_out.display());
-    ensure_parent("--batch-hist-out", &cli.batch_hist_out);
-    write_batch_hist(&cli.batch_hist_out, &name, &report);
-    if cli.demo_broken {
-        return match report.monitor.violations.first() {
-            Some(v) => {
-                println!(
-                    "\nfirst violation window (object {:?}, segment {}):\n",
-                    v.obj, v.segment
-                );
-                println!("{}", v.rendered);
-                println!(
-                    "the monitor caught the unsound keyed read: {} violation window(s) total",
-                    report.monitor.violations.len()
-                );
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!("\nchaos: the unsound keyed read was NOT caught — monitor bug");
-                ExitCode::FAILURE
-            }
-        };
+    if cli.store {
+        let (name, report) = last.as_ref().expect("one store run");
+        ensure_parent("--batch-hist-out", &cli.batch_hist_out);
+        write_batch_hist(&cli.batch_hist_out, name, report);
     }
-    if report.monitor.clean() {
+
+    if !dirty.is_empty() {
+        eprintln!("verdict: VIOLATIONS in {}", dirty.join(", "));
+        ExitCode::FAILURE
+    } else if cli.store {
         println!("verdict: keyed store linearizable per shard (0 violations)");
         ExitCode::SUCCESS
     } else {
-        eprintln!("verdict: VIOLATIONS in {name}");
-        ExitCode::FAILURE
+        println!("verdict: all configurations linearizable (0 violations)");
+        ExitCode::SUCCESS
     }
 }
 
@@ -1519,32 +1390,18 @@ fn run_sweep(cli: &Cli, n: u64) -> ExitCode {
                 recoveries: r.recovery.recoveries,
             }
         } else {
-            let mut cfg = RuntimeConfig::smoke(seed);
+            let mut cfg = StoreConfig::register_smoke(seed);
             if let Some(p) = cli.profile {
-                cfg.faults = p.faults();
-                if p == FaultProfile::Amnesia {
-                    cfg.recovery = RecoveryMode::amnesia();
-                }
+                apply_profile(&mut cfg, p);
             }
-            if let Some(len) = cli.crash_len {
-                cfg.faults.crash_len = len;
-            }
-            if let Some(period) = cli.crash_period {
-                cfg.faults.crash_period = period;
-            }
-            if let Some(ops) = cli.ops_per_client {
-                cfg.ops_per_client = ops;
-            }
-            if let Some(r) = cli.recovery {
-                cfg.recovery = r;
-            }
-            let r = run_chaos(&cfg).unwrap_or_else(|e| usage_error(&e.to_string()));
+            apply_overrides(&mut cfg, cli);
+            let r = run_store(&cfg).unwrap_or_else(|e| usage_error(&e.to_string()));
             SweepRun {
                 seed,
                 ops: r.ops,
                 violations: r.monitor.violations.len() as u64,
-                offered: r.bus.offered,
-                dropped: r.bus.dropped,
+                offered: r.stats.offered,
+                dropped: r.stats.dropped,
                 recoveries: r.recovery.recoveries,
             }
         }
@@ -1610,135 +1467,19 @@ fn main() -> ExitCode {
     if let Some(n) = cli.sweep {
         return run_sweep(&cli, n);
     }
-    if cli.store {
-        // Store mode handles --connect and --demo-broken itself.
-        return run_store_mode(&cli);
-    }
-    if let Some(addrs) = cli.connect.clone() {
-        if cli.demo_broken || cli.demo_amnesia {
-            usage_error("--connect does not combine with the demo modes");
-        }
-        return run_net_driver(&cli, &addrs);
-    }
     if cli.demo_broken {
         return demo_broken(&cli);
     }
     if cli.demo_amnesia {
         return demo_amnesia(&cli);
     }
-
-    let seed = cli.seed;
-    println!(
-        "chaos: {} set{}, seed {seed:#x} (replay with --seed {seed})\n",
-        if cli.smoke { "smoke" } else { "full soak" },
-        match cli.profile {
-            Some(p) => format!(", fault profile {}", p.name()),
-            None => String::new(),
-        }
-    );
-    let mut phases: Vec<(String, f64)> = Vec::new();
-    let mut dirty: Vec<String> = Vec::new();
-    let mut summaries: Vec<blunt_obs::Json> = Vec::new();
-
-    for (name, cfg) in abd_configs(&cli) {
-        let t0 = Instant::now();
-        // An unusable fault shape (e.g. a --crash-len/--crash-period pair
-        // whose windows cannot stagger disjointly) is a usage error, not a
-        // soundness failure: echo the offending numbers and exit 2.
-        let report = match run_chaos(&cfg) {
-            Ok(r) => r,
-            Err(e) => usage_error(&e.to_string()),
-        };
-        phases.push((name.clone(), t0.elapsed().as_secs_f64() * 1000.0));
-        // Monitor-overhead phases for the bench gate: wall time inside
-        // `observe` and the backlog high-water mark. Timing-dependent, so
-        // informational unless bench-report runs with --strict-times.
-        phases.push((
-            format!("monitor.{name}"),
-            report.monitor_overhead.observe_ns as f64 / 1e6,
-        ));
-        phases.push((
-            format!("monitor_lag_ops.{name}"),
-            report.monitor_overhead.lag_ops_hwm as f64,
-        ));
-        print_abd(&name, &report);
-        record(
-            &name,
-            report.ops,
-            report.monitor.violations.len() as u64,
-            Some(report.recovery.recoveries),
-            Some(report.monitor_overhead.actions),
-        );
-        summaries.push(summary_entry(&name, &report, "in-process"));
-        if !report.monitor.clean() {
-            let lanes = (cfg.servers + cfg.clients + 1) as usize;
-            write_flight_artifacts(&cli.dump_dir, &name, &report, lanes);
-            dirty.push(name);
-        }
-    }
-    if cli.profile.is_none() {
-        for (name, cfg) in shm_configs(cli.smoke, seed) {
-            let t0 = Instant::now();
-            let report = run_shm_chaos(&cfg);
-            phases.push((name.clone(), t0.elapsed().as_secs_f64() * 1000.0));
-            println!(
-                "{name:<24} ops {:>7}  violations {}",
-                report.ops,
-                report.monitor.violations.len()
-            );
-            record(
-                &name,
-                report.ops,
-                report.monitor.violations.len() as u64,
-                None,
-                None,
-            );
-            summaries.push(blunt_obs::Json::Obj(vec![
-                ("name".into(), blunt_obs::Json::Str(name.clone())),
-                (
-                    "transport".into(),
-                    blunt_obs::Json::Str("in-process".into()),
-                ),
-                ("ops".into(), blunt_obs::Json::UInt(report.ops)),
-                (
-                    "violations".into(),
-                    blunt_obs::Json::UInt(report.monitor.violations.len() as u64),
-                ),
-            ]));
-            if !report.monitor.clean() {
-                dirty.push(name);
-            }
-        }
-    }
-
-    // The schema-versioned gate input (docs/OBS_SCHEMA.md): per-config
-    // wall-times plus the `runtime.chaos.*` counters, seed echoed for
-    // replay. Only those counters are kept — they are deterministic for a
-    // seed, unlike e.g. the monitor's segment counts (cut placement is
-    // scheduling-dependent) or the shared `lincheck.wgl.*` totals, which
-    // would collide with the experiments baseline.
-    ensure_parent("--results-out", &cli.results_out);
-    let mut results = BenchResults::from_snapshot(phases, &blunt_obs::snapshot());
-    results
-        .counters
-        .retain(|(name, _)| name.starts_with("runtime.chaos."));
-    results.seed = Some(seed);
-    std::fs::write(&cli.results_out, format!("{}\n", results.to_json()))
-        .expect("write BENCH_results.json");
-    println!("\nbench results written to {}", cli.results_out.display());
-
-    // The machine-readable run summary: deterministic fields only (see
-    // summary_entry), so replaying a seed reproduces it byte-for-byte.
-    let summary = summary_doc(seed, if cli.smoke { "smoke" } else { "soak" }, summaries);
-    ensure_parent("--summary-out", &cli.summary_out);
-    std::fs::write(&cli.summary_out, format!("{summary}\n")).expect("write run summary");
-    println!("run summary written to {}", cli.summary_out.display());
-
-    if dirty.is_empty() {
-        println!("verdict: all configurations linearizable (0 violations)");
-        ExitCode::SUCCESS
+    let runs = if cli.store {
+        let (name, cfg) = store_config(&cli, cli.seed);
+        vec![Run { name, cfg, k: 1 }]
+    } else if let Some(addrs) = &cli.connect {
+        vec![net_register_config(&cli, addrs)]
     } else {
-        eprintln!("verdict: VIOLATIONS in {}", dirty.join(", "));
-        ExitCode::FAILURE
-    }
+        register_configs(&cli)
+    };
+    run_set(&cli, runs)
 }

@@ -81,33 +81,36 @@ fn unwritable_results_out_is_a_fail_fast_usage_error() {
 fn watch_out_writes_a_schema_versioned_jsonl_mirror() {
     let dir = tmp_dir("watch-out");
     let watch_path = dir.join("watch.jsonl");
-    let out = chaos(&[
-        "--smoke",
-        "--watch",
-        "50ms",
-        "--watch-out",
-        watch_path.to_str().unwrap(),
-        "--seed",
-        "7",
-        "--ops-per-client",
-        "200",
-        "--results-out",
-        dir.join("BENCH.json").to_str().unwrap(),
-        "--summary-out",
-        dir.join("SUM.json").to_str().unwrap(),
-        "--dump-dir",
-        dir.join("flight").to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // Twice on the same path: the CLI truncates the mirror once per
+    // invocation, so only the second invocation's configs remain.
+    for _ in 0..2 {
+        let out = chaos(&[
+            "--smoke",
+            "--watch",
+            "50ms",
+            "--watch-out",
+            watch_path.to_str().unwrap(),
+            "--seed",
+            "7",
+            "--ops-per-client",
+            "200",
+            "--results-out",
+            dir.join("BENCH.json").to_str().unwrap(),
+            "--summary-out",
+            dir.join("SUM.json").to_str().unwrap(),
+            "--dump-dir",
+            dir.join("flight").to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
     let text = std::fs::read_to_string(&watch_path).expect("watch JSONL written");
     let mut lines = text.lines();
-    // Header line: document type, schema version, and the run seed. Each
-    // in-process config reopens the file, so take the first header and
-    // check every line parses as JSON of a known type.
+    // Header line: document type, schema version, the config it opens, and
+    // the config's seed. Every line parses as JSON of a known type.
     let header = blunt_obs::Json::parse(lines.next().expect("header line")).expect("header JSON");
     assert_eq!(
         header.get("type").and_then(blunt_obs::Json::as_str),
@@ -117,17 +120,21 @@ fn watch_out_writes_a_schema_versioned_jsonl_mirror() {
         header
             .get("schema_version")
             .and_then(blunt_obs::Json::as_u64),
-        Some(blunt_runtime::WATCH_SCHEMA_VERSION)
+        Some(blunt_store::WATCH_SCHEMA_VERSION)
     );
     assert!(header
         .get("seed")
         .and_then(blunt_obs::Json::as_u64)
         .is_some());
     let mut ticks = 0u64;
+    let mut configs: Vec<String> = Vec::new();
     for line in text.lines() {
         let doc = blunt_obs::Json::parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
         match doc.get("type").and_then(blunt_obs::Json::as_str) {
-            Some("chaos_watch") => {}
+            Some("chaos_watch") => {
+                let config = doc.get("config").and_then(blunt_obs::Json::as_str);
+                configs.push(config.expect("header names its config").to_string());
+            }
             Some("watch_tick") => {
                 ticks += 1;
                 for key in [
@@ -148,6 +155,17 @@ fn watch_out_writes_a_schema_versioned_jsonl_mirror() {
         }
     }
     assert!(ticks > 0, "at least one tick was mirrored:\n{text}");
+    // One header per watched config, in run order: no config truncated
+    // another's stream.
+    assert_eq!(
+        configs,
+        [
+            "smoke.abd_k1_chaos",
+            "smoke.abd_k2_chaos",
+            "smoke.abd_k1_quiet"
+        ],
+        "{text}"
+    );
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! it — see [`crate::bus::Bus::with_mailboxes`]). [`host_loop`] takes one
 //! envelope at a time and dispatches it to the replica named by
 //! `env.dst`. The keyed store places whole shards on a host, so a quorum
-//! broadcast wakes one thread instead of one per replica; the single-register
-//! chaos run and each `chaos serve` process pass a one-replica set.
+//! broadcast wakes one thread instead of one per replica (a one-shard,
+//! single-register run puts all its replicas on one host); each
+//! `chaos serve` process passes a one-replica set.
 //!
 //! Nothing in a replica blocks: every step is a reaction to one envelope,
 //! so replicas that are each other's peers can share a thread.

@@ -17,7 +17,7 @@
 //! (two concurrent writes commute), so the monitor threads the full set of
 //! feasible states ([`feasible_final_states`]) rather than one witness's
 //! choice — committing a single witness would falsely flag a later read
-//! that observed the other order. The workload driver guarantees cuts by
+//! that observed the other order. The client driver guarantees cuts by
 //! running clients in barrier-separated bursts, which also bounds segment
 //! size below the checker's 64-invocation ceiling.
 

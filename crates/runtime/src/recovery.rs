@@ -11,8 +11,8 @@
 //! which the online linearizability monitor must catch.
 //!
 //! [`RecoveryStats`] are accumulated across replica hosts through the
-//! shared atomics of `RecoverySink` and reported per run in
-//! `ChaosReport::recovery`. `crashes` and `recoveries` are deterministic
+//! shared atomics of `RecoverySink` and reported per run in the store
+//! driver's `StoreReport::recovery`. `crashes` and `recoveries` are deterministic
 //! for a seed (they follow the bus's crash-event detection, which lives in
 //! link-index space); the WAL-shaped counters depend on flush timing and
 //! are excluded from regression gating (see `docs/OBS_SCHEMA.md`).
@@ -91,9 +91,9 @@ pub struct RecoveryStats {
 }
 
 /// The shared accumulation point: replicas add to these atomics, the
-/// workload driver snapshots them into a [`RecoveryStats`] at the end.
-/// Public so external runners (the keyed store) can give each replica
-/// group its own sink.
+/// client driver snapshots them into a [`RecoveryStats`] at the end.
+/// Public so the driver (the keyed store) can give each replica group its
+/// own sink.
 #[derive(Debug, Default)]
 pub struct RecoverySink {
     crashes: AtomicU64,

@@ -1,7 +1,11 @@
-//! blunt-store: a sharded, keyed multi-register store over ABD quorums.
+//! blunt-store: a sharded, keyed multi-register store over ABD quorums —
+//! and the one client driver every chaos workload runs through.
 //!
-//! The runtime (`blunt_runtime`) drives one replicated register group; this
-//! crate composes *many* of them into a keyed store. A seed-deterministic
+//! The runtime (`blunt_runtime`) hosts replicated register groups; this
+//! crate composes *many* of them into a keyed store and drives them: the
+//! single-register chaos configurations are its one-shard, one-key case
+//! ([`StoreConfig::register_smoke`]), and the ABD preamble depth `k` is a
+//! run option ([`RunOptions`]). A seed-deterministic
 //! consistent-hash [`ring`] maps each key onto one of N independent ABD
 //! shards — disjoint slices of the server set, each replica running the
 //! unmodified [`blunt_runtime::host`] step machine over its own quorum,
@@ -24,7 +28,9 @@
 //! op and its `Return` after completion — so each shard's stream is a
 //! real-time-ordered history of exactly the keys it owns. The full
 //! soundness argument, the sharding model, and the batching/pipelining
-//! semantics live in `docs/STORE.md`.
+//! semantics live in `docs/STORE.md`. Every run also keeps live
+//! telemetry: the optional `--watch` line and its JSONL mirror, and a
+//! stall watchdog ([`STALL_AFTER`]).
 //!
 //! [`ObjId`]: blunt_core::ids::ObjId
 
@@ -34,7 +40,12 @@
 pub mod batch;
 pub mod ring;
 pub mod run;
+mod watch;
 
 pub use batch::BatchingTransport;
 pub use ring::{HashRing, VNODES};
-pub use run::{run_store, run_store_net, StoreConfig, StoreReport};
+pub use run::{
+    run_store, run_store_net, run_store_net_with, run_store_with, RunOptions, StoreConfig,
+    StoreReport,
+};
+pub use watch::{STALL_AFTER, WATCH_SCHEMA_VERSION};

@@ -1,5 +1,7 @@
-//! The store driver: sharded servers, per-shard monitors, pipelined
-//! batched clients — over the in-process bus or the socket tier.
+//! The client driver: sharded servers, per-shard monitors, pipelined
+//! batched clients — over the in-process bus or the socket tier. Every
+//! chaos workload runs through it; the single-register shapes are one-shard,
+//! one-key configs ([`StoreConfig::register_smoke`]).
 //!
 //! [`run_store`] is the single-process entry: it builds one
 //! [`blunt_runtime::Bus`] spanning every shard's servers plus the clients,
@@ -10,17 +12,21 @@
 //! at already-listening `chaos serve` processes (one replica each) through
 //! a [`NetClient`]. Both share
 //! the same client loop, so the two tiers exercise identical protocol
-//! logic and differ only in transport.
+//! logic and differ only in transport. [`run_store_with`] and
+//! [`run_store_net_with`] take the run-level [`RunOptions`] (preamble
+//! depth `k`, live watch, flight-dump directory) on top.
 //!
 //! Determinism contract: the per-client rng stream is a pure function of
 //! `(seed, client)` and is consumed in *program order* (key draw, then
-//! read/write draw, per op at burst setup) — never in reply-arrival order —
-//! so the draw sequence is schedule-independent. Pipelining changes only
-//! *when* messages leave relative to each other, and batching changes only
-//! how they are framed; fault fates are drawn per logical envelope in send
-//! order either way (see [`crate::batch`]).
+//! read/write draw, then — for `k > 1` — the object random choice, per op
+//! at burst setup) — never in reply-arrival order — so the draw sequence
+//! is schedule-independent. Pipelining changes only *when* messages leave
+//! relative to each other, and batching changes only how they are framed;
+//! fault fates are drawn per logical envelope in send order either way
+//! (see [`crate::batch`]).
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Barrier, Mutex};
@@ -34,9 +40,9 @@ use blunt_core::ids::{InvId, MethodId, ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::{
     Addr, Coverage, Envelope, FaultConfig, FaultConfigError, NetClient, NetClientCfg, Payload,
-    SpanCtx, Transport, TransportStats,
+    RemoteServer, SpanCtx, Transport, TransportStats,
 };
-use blunt_obs::flight::encode_val;
+use blunt_obs::flight::{encode_val, KEY_NONE};
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
 use blunt_runtime::{
     host_loop, Bus, HostedReplica, MonitorReport, OnlineMonitor, RecoveryMode, RecoverySink,
@@ -46,6 +52,7 @@ use blunt_sim::rng::{RandomSource, SplitMix64};
 
 use crate::batch::BatchingTransport;
 use crate::ring::HashRing;
+use crate::watch::{Telemetry, WatchCtx, Watcher};
 
 /// One store run: topology, workload shape, and chaos knobs.
 #[derive(Clone, Debug)]
@@ -143,10 +150,64 @@ impl StoreConfig {
         }
     }
 
+    /// The single-register smoke shape: one register on one shard of 3
+    /// replicas, 4 sequential clients (pipeline depth 1, no batching) × 500
+    /// ops under the full fault mix.
+    #[must_use]
+    pub fn register_smoke(seed: u64) -> StoreConfig {
+        StoreConfig {
+            shards: 1,
+            servers_per_shard: 3,
+            clients: 4,
+            ops_per_client: 500,
+            keys: 1,
+            pipeline_depth: 1,
+            batch_max: 1,
+            burst: 8,
+            read_per_mille: 500,
+            seed,
+            faults: FaultConfig::chaos(),
+            broken_reads: false,
+            retransmit_after: Duration::from_millis(1),
+            retransmit_cap: Duration::from_millis(16),
+            recovery: RecoveryMode::Stable,
+            demo_shard: None,
+        }
+    }
+
+    /// The single-register acceptance soak shape: [`Self::register_smoke`]
+    /// with 8 clients × 13 000 ops (≥ 100k in total) in bursts of 4.
+    #[must_use]
+    pub fn register_soak(seed: u64) -> StoreConfig {
+        StoreConfig {
+            clients: 8,
+            ops_per_client: 13_000,
+            burst: 4,
+            ..StoreConfig::register_smoke(seed)
+        }
+    }
+
     /// Total server processes: `shards × servers_per_shard`.
     #[must_use]
     pub fn servers_total(&self) -> u32 {
         self.shards * self.servers_per_shard
+    }
+
+    /// Flight-diagram lanes: every server, every client, and one monitor
+    /// lane per shard.
+    #[must_use]
+    pub fn lanes(&self) -> usize {
+        (self.servers_total() + self.clients + self.shards) as usize
+    }
+
+    /// The key word of `key`'s op events: a one-key run leaves them
+    /// unkeyed, as single-register dumps always were (the field is elided).
+    fn flight_key(&self, key: ObjId) -> u64 {
+        if self.keys > 1 {
+            u64::from(key.0)
+        } else {
+            KEY_NONE
+        }
     }
 
     fn validate(&self) {
@@ -183,6 +244,42 @@ impl StoreConfig {
     }
 }
 
+/// Run-level settings on top of the workload shape: how deep the ABD
+/// preamble goes and how the run is watched. `Default` is plain ABD with no
+/// live output.
+#[derive(Clone, Debug)]
+pub struct RunOptions {
+    /// Preamble iterations (`k = 1` is plain ABD; `k = 2` is O² of
+    /// Algorithm 2). For `k > 1` each op draws its object random choice at
+    /// burst setup, so the rng stream stays in program order.
+    pub k: u32,
+    /// Emit a live progress line to stderr every interval (`None` =
+    /// silent). Read-only observation: never perturbs the fault schedule.
+    pub watch: Option<Duration>,
+    /// Append the watch snapshots as schema-versioned JSONL to this path: a
+    /// `chaos_watch` header naming [`RunOptions::label`], then one
+    /// `watch_tick` record per tick. Ticks use the `watch` interval when
+    /// set, a default cadence otherwise.
+    pub watch_out: Option<PathBuf>,
+    /// Directory for watchdog stall dumps (`stall.flight.jsonl` plus a
+    /// rendered `stall.diagram.txt`). `None` keeps a stall in memory only.
+    pub flight_dump_dir: Option<PathBuf>,
+    /// The run's config name, carried by the watch mirror's header.
+    pub label: String,
+}
+
+impl Default for RunOptions {
+    fn default() -> RunOptions {
+        RunOptions {
+            k: 1,
+            watch: None,
+            watch_out: None,
+            flight_dump_dir: None,
+            label: String::new(),
+        }
+    }
+}
+
 /// What one store run produced.
 #[derive(Clone, Debug)]
 pub struct StoreReport {
@@ -194,10 +291,20 @@ pub struct StoreReport {
     pub coverage: Coverage,
     /// The merged verdict across all per-shard monitors.
     pub monitor: MonitorReport,
-    /// Call/return actions consumed across all shard monitors.
+    /// Call/return actions consumed across all shard monitors (= `2 ×
+    /// ops`; deterministic).
     pub monitor_actions: u64,
+    /// Wall time spent inside [`OnlineMonitor::observe`], summed over the
+    /// shard monitors (timing-dependent).
+    pub monitor_observe_ns: u64,
+    /// The largest backlog any shard monitor ran behind its clients, in
+    /// actions (timing-dependent).
+    pub monitor_lag_ops_hwm: u64,
     /// Flight dump captured at the first violation anywhere, if any.
     pub violation_dump: Option<FlightDump>,
+    /// `true` iff no operation completed for [`STALL_AFTER`](crate::STALL_AFTER)
+    /// at some point.
+    pub stalled: bool,
     /// Client retransmissions (timeout recoveries).
     pub retransmissions: u64,
     /// Operations whose pipeline start was deferred because their shard
@@ -210,13 +317,21 @@ pub struct StoreReport {
     pub recovery: RecoveryStats,
     /// Per-shard `(crashes, recoveries)`, index = shard. Deterministic for
     /// a seed: crash windows live in link-index space and every crash runs
-    /// exactly one recovery. Empty when the tier cannot attribute them
-    /// (never — both tiers fill it; see `run_store` / `run_store_net`).
+    /// exactly one recovery.
     pub shard_recoveries: Vec<(u64, u64)>,
     /// End-to-end per-op latency distribution (µs).
     pub latency_us: HistogramSnapshot,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
+    /// Per-server remote state — clock offset, last telemetry snapshot,
+    /// goodbye-piggybacked dump — on socket runs (index = server pid).
+    /// Empty in process, where no state is remote.
+    pub remote_servers: Vec<RemoteServer>,
+    /// The cross-process merged flight dump of a socket run: driver events
+    /// plus every server's goodbye dump, clock-aligned and labeled
+    /// `s<pid>`. `None` in process, where the ordinary flight recorder
+    /// already sees every event.
+    pub merged_flight: Option<FlightDump>,
 }
 
 impl StoreReport {
@@ -233,7 +348,8 @@ impl StoreReport {
 }
 
 /// Runs one seeded store configuration on the in-process bus, with one
-/// replica host per core (at most one per shard).
+/// replica host per core (at most one per shard), under default
+/// [`RunOptions`].
 ///
 /// # Errors
 ///
@@ -244,19 +360,38 @@ impl StoreReport {
 /// Panics on an invalid topology (see [`StoreConfig`] field docs) or if a
 /// worker thread dies.
 pub fn run_store(cfg: &StoreConfig) -> Result<StoreReport, FaultConfigError> {
-    let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    run_store_on(cfg, cores)
+    run_store_with(cfg, &RunOptions::default())
 }
 
-/// [`run_store`] on `hosts` replica hosts (clamped to `1..=shards`): shard
-/// `s` lives on host `s % hosts`. The host count changes only which thread
-/// serves a replica, never what any replica or link does, so the report's
-/// deterministic parts do not depend on it.
+/// [`run_store`] under explicit run options.
+///
+/// # Errors
+///
+/// Returns [`FaultConfigError`] if the fault probabilities are malformed.
+///
+/// # Panics
+///
+/// Panics on an invalid topology, `opts.k == 0`, or if a worker thread
+/// dies.
+pub fn run_store_with(
+    cfg: &StoreConfig,
+    opts: &RunOptions,
+) -> Result<StoreReport, FaultConfigError> {
+    let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    run_store_on(cfg, opts, cores)
+}
+
+/// [`run_store_with`] on `hosts` replica hosts (clamped to `1..=shards`):
+/// shard `s` lives on host `s % hosts`. The host count changes only which
+/// thread serves a replica, never what any replica or link does, so the
+/// report's deterministic parts do not depend on it.
 pub(crate) fn run_store_on(
     cfg: &StoreConfig,
+    opts: &RunOptions,
     hosts: usize,
 ) -> Result<StoreReport, FaultConfigError> {
     cfg.validate();
+    assert!(opts.k >= 1, "ABD^k requires k ≥ 1");
     let started = Instant::now();
     let servers_total = cfg.servers_total();
     let spr = cfg.servers_per_shard;
@@ -314,8 +449,23 @@ pub(crate) fn run_store_on(
     }
     let client_rxs: Vec<Receiver<Envelope>> = rx_iter.collect();
 
-    let transport: Arc<dyn Transport> = Arc::clone(&bus) as Arc<dyn Transport>;
-    let core = drive_clients(cfg, transport, client_rxs, Arc::clone(&recorder));
+    let telemetry = Arc::new(Telemetry::new(cfg.clients, cfg.shards));
+    let watch_sinks = sinks.clone();
+    let watcher = Watcher::spawn(WatchCtx {
+        opts: opts.clone(),
+        seed: cfg.seed,
+        lanes: cfg.lanes(),
+        started,
+        telemetry: Arc::clone(&telemetry),
+        recorder: Arc::clone(&recorder),
+        recoveries: Box::new(move || {
+            watch_sinks
+                .iter()
+                .map(|s| s.snapshot().recoveries)
+                .sum::<u64>()
+        }),
+    });
+    let core = drive_clients(cfg, opts.k, bus.as_ref(), client_rxs, &recorder, &telemetry);
 
     // Every amnesia signal is enqueued synchronously inside a client's
     // send, so by this point (clients joined inside `drive_clients`) all
@@ -326,6 +476,7 @@ pub(crate) fn run_store_on(
         s.join().expect("replica host thread");
     }
     bus.flush();
+    let stalled = watcher.finish();
     let shard_recoveries: Vec<(u64, u64)> = sinks
         .iter()
         .map(|s| {
@@ -339,6 +490,7 @@ pub(crate) fn run_store_on(
         bus.coverage(),
         recovery,
         shard_recoveries,
+        stalled,
         started.elapsed(),
     ))
 }
@@ -360,9 +512,13 @@ fn sum_recovery(parts: impl Iterator<Item = RecoveryStats>) -> RecoveryStats {
     total
 }
 
+/// How long the driver waits for server `Goodbye` frames after `Shutdown`.
+const GOODBYE_WAIT: Duration = Duration::from_secs(10);
+
 /// Runs the store's client side against already-listening `chaos serve`
-/// processes: `addrs` lists every replica, shard-major (`addrs[s·R..(s+1)·R]`
-/// is shard `s`'s replica set, matching pid order).
+/// processes under default [`RunOptions`]: `addrs` lists every replica,
+/// shard-major (`addrs[s·R..(s+1)·R]` is shard `s`'s replica set, matching
+/// pid order).
 ///
 /// # Errors
 ///
@@ -373,7 +529,26 @@ fn sum_recovery(parts: impl Iterator<Item = RecoveryStats>) -> RecoveryStats {
 /// Panics if `addrs` doesn't match the topology, on connection failure, or
 /// if a worker thread dies.
 pub fn run_store_net(cfg: &StoreConfig, addrs: &[Addr]) -> Result<StoreReport, FaultConfigError> {
+    run_store_net_with(cfg, addrs, &RunOptions::default())
+}
+
+/// [`run_store_net`] under explicit run options.
+///
+/// # Errors
+///
+/// Returns [`FaultConfigError`] if the fault probabilities are malformed.
+///
+/// # Panics
+///
+/// Panics if `addrs` doesn't match the topology, `opts.k == 0`, on
+/// connection failure, or if a worker thread dies.
+pub fn run_store_net_with(
+    cfg: &StoreConfig,
+    addrs: &[Addr],
+    opts: &RunOptions,
+) -> Result<StoreReport, FaultConfigError> {
     cfg.validate();
+    assert!(opts.k >= 1, "ABD^k requires k ≥ 1");
     assert_eq!(
         addrs.len(),
         cfg.servers_total() as usize,
@@ -396,15 +571,28 @@ pub fn run_store_net(cfg: &StoreConfig, addrs: &[Addr]) -> Result<StoreReport, F
         Arc::clone(&recorder),
     )?;
 
-    let transport: Arc<dyn Transport> = Arc::clone(&net) as Arc<dyn Transport>;
-    let core = drive_clients(cfg, transport, client_rxs, Arc::clone(&recorder));
+    let telemetry = Arc::new(Telemetry::new(cfg.clients, cfg.shards));
+    let watch_net = Arc::clone(&net);
+    let watcher = Watcher::spawn(WatchCtx {
+        opts: opts.clone(),
+        seed: cfg.seed,
+        lanes: cfg.lanes(),
+        started,
+        telemetry: Arc::clone(&telemetry),
+        recorder: Arc::clone(&recorder),
+        // Recoveries happen in the serve processes; live counts come over
+        // the telemetry channel.
+        recoveries: Box::new(move || watch_net.remote_recoveries()),
+    });
+    let core = drive_clients(cfg, opts.k, net.as_ref(), client_rxs, &recorder, &telemetry);
 
     let stats = net.stats();
     let coverage = net.coverage();
     // Recoveries happen in the serve processes; their `Goodbye` frames
     // carry the counters home. Pids are shard-major, so goodbye index /
     // replicas-per-shard is the shard.
-    let goodbyes = net.shutdown(Duration::from_secs(10));
+    let goodbyes = net.shutdown(GOODBYE_WAIT);
+    let stalled = watcher.finish();
     let mut shard_recoveries = vec![(0u64, 0u64); cfg.shards as usize];
     let mut recovery = RecoveryStats::default();
     for (pid, g) in goodbyes.iter().enumerate() {
@@ -420,13 +608,28 @@ pub fn run_store_net(cfg: &StoreConfig, addrs: &[Addr]) -> Result<StoreReport, F
     }
     blunt_obs::static_counter!("store.recovery.crashes").add(recovery.crashes);
     blunt_obs::static_counter!("store.recovery.recoveries").add(recovery.recoveries);
-    Ok(core.into_report(
+
+    // Merge every server's goodbye-piggybacked dump into the driver's own,
+    // clock-aligned by the Hello/HelloAck offset estimates and labeled
+    // `s<pid>` — one cross-process space-time view of the whole run.
+    let remote_servers = net.remote_snapshot();
+    let mut merged = recorder.dump();
+    for (sid, r) in remote_servers.iter().enumerate() {
+        if let Some(d) = &r.dump {
+            merged.merge_remote(&format!("s{sid}"), r.offset_us, d);
+        }
+    }
+    let mut report = core.into_report(
         stats,
         coverage,
         recovery,
         shard_recoveries,
+        stalled,
         started.elapsed(),
-    ))
+    );
+    report.remote_servers = remote_servers;
+    report.merged_flight = Some(merged);
+    Ok(report)
 }
 
 /// Everything the client side of a run produces, transport-agnostic.
@@ -434,6 +637,8 @@ struct CoreOut {
     ops: u64,
     monitor: MonitorReport,
     monitor_actions: u64,
+    monitor_observe_ns: u64,
+    monitor_lag_ops_hwm: u64,
     violation_dump: Option<FlightDump>,
     retransmissions: u64,
     degraded_ops: u64,
@@ -447,6 +652,7 @@ impl CoreOut {
         coverage: Coverage,
         recovery: RecoveryStats,
         shard_recoveries: Vec<(u64, u64)>,
+        stalled: bool,
         elapsed: Duration,
     ) -> StoreReport {
         StoreReport {
@@ -455,29 +661,49 @@ impl CoreOut {
             coverage,
             monitor: self.monitor,
             monitor_actions: self.monitor_actions,
+            monitor_observe_ns: self.monitor_observe_ns,
+            monitor_lag_ops_hwm: self.monitor_lag_ops_hwm,
             violation_dump: self.violation_dump,
+            stalled,
             retransmissions: self.retransmissions,
             degraded_ops: self.degraded_ops,
             recovery,
             shard_recoveries,
             latency_us: self.latency.snapshot(),
             elapsed,
+            remote_servers: Vec::new(),
+            merged_flight: None,
         }
     }
+}
+
+/// What every client thread of a run shares.
+struct Clients<'a> {
+    cfg: &'a StoreConfig,
+    k: u32,
+    ring_map: HashRing,
+    transport: &'a dyn Transport,
+    barrier: Barrier,
+    mon_txs: Vec<Sender<Action>>,
+    telemetry: &'a Telemetry,
+    recorder: &'a FlightRecorder,
+    retransmissions: AtomicU64,
+    degraded_ops: AtomicU64,
+    latency: Histogram,
 }
 
 /// Spawns per-shard monitors and the client threads, joins them, and merges
 /// the shard verdicts. Shared by both tiers.
 fn drive_clients(
     cfg: &StoreConfig,
-    transport: Arc<dyn Transport>,
+    k: u32,
+    transport: &dyn Transport,
     client_rxs: Vec<Receiver<Envelope>>,
-    recorder: Arc<FlightRecorder>,
+    recorder: &Arc<FlightRecorder>,
+    telemetry: &Arc<Telemetry>,
 ) -> CoreOut {
     assert_eq!(client_rxs.len(), cfg.clients as usize);
-    let ring_map = Arc::new(HashRing::new(cfg.seed, cfg.shards));
     let nodes = (cfg.servers_total() + cfg.clients) as usize;
-    let actions = Arc::new(AtomicU64::new(0));
     let dump_slot: Arc<Mutex<Option<FlightDump>>> = Arc::new(Mutex::new(None));
 
     let mut mon_txs = Vec::with_capacity(cfg.shards as usize);
@@ -487,57 +713,52 @@ fn drive_clients(
         mon_txs.push(tx);
         monitors.push(spawn_shard_monitor(
             shard,
-            Arc::clone(&recorder),
+            Arc::clone(recorder),
+            Arc::clone(telemetry),
             nodes,
             rx,
-            Arc::clone(&actions),
             Arc::clone(&dump_slot),
         ));
     }
-    let mon_txs = Arc::new(mon_txs);
 
-    let barrier = Arc::new(Barrier::new(cfg.clients as usize));
-    let retransmissions = Arc::new(AtomicU64::new(0));
-    let degraded_ops = Arc::new(AtomicU64::new(0));
-    let latency = Histogram::unregistered();
-    let mut clients = Vec::with_capacity(cfg.clients as usize);
-    for (c, rx) in client_rxs.into_iter().enumerate() {
-        let c = u32::try_from(c).expect("client count fits u32");
-        let cfg = cfg.clone();
-        let ring_map = Arc::clone(&ring_map);
-        let transport = Arc::clone(&transport);
-        let barrier = Arc::clone(&barrier);
-        let mon_txs = Arc::clone(&mon_txs);
-        let retransmissions = Arc::clone(&retransmissions);
-        let degraded_ops = Arc::clone(&degraded_ops);
-        let latency = latency.clone();
-        let recorder = Arc::clone(&recorder);
-        clients.push(thread::spawn(move || {
-            store_client_loop(
-                c,
-                &cfg,
-                &ring_map,
-                transport.as_ref(),
-                rx,
-                &barrier,
-                &mon_txs,
-                &retransmissions,
-                &degraded_ops,
-                &latency,
-                &recorder,
-            );
-        }));
-    }
+    let shared = Clients {
+        cfg,
+        k,
+        ring_map: HashRing::new(cfg.seed, cfg.shards),
+        transport,
+        barrier: Barrier::new(cfg.clients as usize),
+        mon_txs,
+        telemetry,
+        recorder,
+        retransmissions: AtomicU64::new(0),
+        degraded_ops: AtomicU64::new(0),
+        latency: Histogram::unregistered(),
+    };
+    thread::scope(|scope| {
+        for (c, rx) in client_rxs.into_iter().enumerate() {
+            let c = u32::try_from(c).expect("client count fits u32");
+            let shared = &shared;
+            scope.spawn(move || store_client_loop(c, shared, rx));
+        }
+    });
+    let Clients {
+        mon_txs,
+        retransmissions,
+        degraded_ops,
+        latency,
+        ..
+    } = shared;
     drop(mon_txs);
-    for h in clients {
-        h.join().expect("store client thread");
-    }
     let mut monitor = MonitorReport::default();
+    let mut observe_ns: u64 = 0;
+    let mut lag_hwm: u64 = 0;
     for h in monitors {
-        let shard_report = h.join().expect("shard monitor thread");
-        monitor.segments_ok += shard_report.segments_ok;
-        monitor.violations.extend(shard_report.violations);
-        monitor.overflowed |= shard_report.overflowed;
+        let out = h.join().expect("shard monitor thread");
+        monitor.segments_ok += out.report.segments_ok;
+        monitor.violations.extend(out.report.violations);
+        monitor.overflowed |= out.report.overflowed;
+        observe_ns = observe_ns.saturating_add(out.observe_ns);
+        lag_hwm = lag_hwm.max(out.lag_hwm);
     }
 
     let ops = u64::from(cfg.clients) * cfg.ops_per_client;
@@ -546,12 +767,23 @@ fn drive_clients(
     CoreOut {
         ops,
         monitor,
-        monitor_actions: actions.load(Ordering::Relaxed),
+        monitor_actions: telemetry.actions_seen(),
+        monitor_observe_ns: observe_ns,
+        monitor_lag_ops_hwm: lag_hwm,
         violation_dump,
-        retransmissions: retransmissions.load(Ordering::Relaxed),
-        degraded_ops: degraded_ops.load(Ordering::Relaxed),
+        retransmissions: retransmissions.into_inner(),
+        degraded_ops: degraded_ops.into_inner(),
         latency,
     }
+}
+
+/// One shard monitor's verdict and cost.
+struct ShardMonitorOut {
+    report: MonitorReport,
+    /// Wall time inside `observe`.
+    observe_ns: u64,
+    /// Largest backlog behind this shard's clients, in actions.
+    lag_hwm: u64,
 }
 
 /// One shard's monitor thread: consumes that shard's call/return stream
@@ -561,40 +793,113 @@ fn drive_clients(
 fn spawn_shard_monitor(
     shard: u32,
     recorder: Arc<FlightRecorder>,
+    telemetry: Arc<Telemetry>,
     lanes: usize,
     rx: Receiver<Action>,
-    actions: Arc<AtomicU64>,
     dump_slot: Arc<Mutex<Option<FlightDump>>>,
-) -> thread::JoinHandle<MonitorReport> {
+) -> thread::JoinHandle<ShardMonitorOut> {
     thread::spawn(move || {
         let ring = recorder.register_current(&format!("monitor-s{shard}"));
         let mon_pid = u32::try_from(lanes).expect("node count fits u32") + shard;
         let mut m = OnlineMonitor::new(Val::Nil, lanes);
+        let mut observe_ns: u64 = 0;
+        let mut lag_hwm: u64 = 0;
         let mut cuts: u64 = 0;
         while let Ok(a) = rx.recv() {
+            let t0 = Instant::now();
             let ok = m.observe(a);
-            actions.fetch_add(1, Ordering::Relaxed);
+            observe_ns = observe_ns
+                .saturating_add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            lag_hwm = lag_hwm.max(telemetry.on_observed(shard));
             let checked = m.segments_checked();
             if checked > cuts {
                 cuts = checked;
                 ring.record(FlightKind::MonitorCut, mon_pid, checked, 0);
             }
             if !ok {
+                let mut slot = dump_slot.lock().expect("dump slot lock");
+                if slot.is_none() {
+                    // A lagging monitor may flag a window whose op events
+                    // the clients' bounded rings have already evicted —
+                    // replay the window into this ring so the dump always
+                    // carries its own evidence.
+                    if let Some(v) = m.violations().last() {
+                        replay_window(&ring, v.window.actions());
+                    }
+                }
                 ring.record(
                     FlightKind::MonitorViolation,
                     mon_pid,
                     m.violations_found().saturating_sub(1),
                     0,
                 );
-                let mut slot = dump_slot.lock().expect("dump slot lock");
                 if slot.is_none() {
                     // Capture now, while the offending ops are still in
-                    // the clients' bounded rings.
+                    // the rings.
                     *slot = Some(recorder.dump());
                 }
             }
         }
-        m.finish()
+        ShardMonitorOut {
+            report: m.finish(),
+            observe_ns,
+            lag_hwm,
+        }
+    })
+}
+
+/// Re-records a violation window's actions into the monitor's ring,
+/// attributed to their original client pids. By the time a lagging monitor
+/// closes and rejects a segment, the clients may have recorded thousands
+/// of newer events — enough to evict the offending ops from their bounded
+/// rings — so the dump taken at detection replays the window itself
+/// (≤ 64 invocations) immediately before the `monitor_violation` marker.
+fn replay_window(ring: &FlightRing, actions: &[Action]) {
+    let mut invs: HashMap<InvId, (u32, bool)> = HashMap::new();
+    for action in actions {
+        match action {
+            Action::Call {
+                inv,
+                pid,
+                method,
+                arg,
+                ..
+            } => {
+                let is_read = *method == MethodId::READ;
+                invs.insert(*inv, (pid.0, is_read));
+                ring.record(
+                    if is_read {
+                        FlightKind::OpStartRead
+                    } else {
+                        FlightKind::OpStartWrite
+                    },
+                    pid.0,
+                    inv.0,
+                    encode_int(arg),
+                );
+            }
+            Action::Return { inv, val } => {
+                let (pid, is_read) = invs.get(inv).copied().unwrap_or((0, true));
+                ring.record(
+                    if is_read {
+                        FlightKind::OpCompleteRead
+                    } else {
+                        FlightKind::OpCompleteWrite
+                    },
+                    pid,
+                    inv.0,
+                    encode_int(val),
+                );
+            }
+        }
+    }
+}
+
+/// A register value as a flight-event word (`Nil` is encoded as absent).
+fn encode_int(v: &Val) -> u64 {
+    encode_val(match v {
+        Val::Int(i) => Some(*i),
+        _ => None,
     })
 }
 
@@ -605,11 +910,40 @@ struct OpSpec {
     /// The shard owning `key`, looked up once when the op is drawn.
     shard: u32,
     is_read: bool,
+    /// The object random step's pick among the `k` preamble results
+    /// (always 0, and never drawn, at `k = 1`).
+    choice: usize,
     /// Already counted toward `store.degraded_ops` (each deferred op
     /// counts once, however many fill passes skip it).
     deferred: bool,
 }
 
+/// Client `c`'s seeded stream: every random draw the client makes.
+fn op_stream(seed: u64, c: u32) -> SplitMix64 {
+    SplitMix64::new(seed ^ 0x5704_E000_0000_0000 ^ u64::from(c).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Draws op `idx`'s spec: key, then read/write, then (for `k > 1`) the
+/// object random choice — all from `rng`, in that order.
+fn draw_op(
+    rng: &mut SplitMix64,
+    cfg: &StoreConfig,
+    k: u32,
+    ring_map: &HashRing,
+    idx: u64,
+) -> OpSpec {
+    let key = ObjId(u32::try_from(rng.draw(cfg.keys as usize)).expect("key fits u32"));
+    let is_read = rng.draw(1000) < usize::from(cfg.read_per_mille);
+    let choice = if k > 1 { rng.draw(k as usize) } else { 0 };
+    OpSpec {
+        idx,
+        key,
+        shard: ring_map.shard_for(key),
+        is_read,
+        choice,
+        deferred: false,
+    }
+}
 /// Max ops a client keeps in flight on a *degraded* (recovering) shard.
 /// One probe op keeps retransmission pressure on the shard — enough to
 /// notice the moment it comes back — while the rest of the pipeline depth
@@ -690,26 +1024,22 @@ struct InFlight {
 /// [`DEGRADED_INFLIGHT_CAP`] ops in flight there (counted as
 /// `store.degraded_ops` deferrals) so one recovering shard never
 /// head-of-line blocks the others.
-#[allow(clippy::too_many_arguments)] // mirrors the thread context it runs in
-fn store_client_loop(
-    c: u32,
-    cfg: &StoreConfig,
-    ring_map: &HashRing,
-    transport: &dyn Transport,
-    rx: Receiver<Envelope>,
-    barrier: &Barrier,
-    mon_txs: &[Sender<Action>],
-    retransmissions: &AtomicU64,
-    degraded_ops: &AtomicU64,
-    latency: &Histogram,
-    recorder: &FlightRecorder,
-) {
+fn store_client_loop(c: u32, shared: &Clients<'_>, rx: Receiver<Envelope>) {
+    let Clients {
+        cfg,
+        k,
+        ref ring_map,
+        transport,
+        ref barrier,
+        ref mon_txs,
+        telemetry,
+        recorder,
+        ..
+    } = *shared;
     let servers_total = cfg.servers_total();
     let me = Pid(servers_total + c);
     let ring = recorder.register_current(&format!("client-{}", me.0));
-    let mut rng = SplitMix64::new(
-        cfg.seed ^ 0x5704_E000_0000_0000 ^ u64::from(c).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
+    let mut rng = op_stream(cfg.seed, c);
     let bt = BatchingTransport::new(transport, cfg.batch_max);
     let quorum = cfg.servers_per_shard / 2 + 1;
     let spr = cfg.servers_per_shard;
@@ -721,7 +1051,6 @@ fn store_client_loop(
     let mut retrans: u64 = 0;
     let mut deferred: u64 = 0;
     let mut sn_counter: u32 = 0;
-    let mut op_idx: u64 = 0;
     let mut done: u64 = 0;
 
     while done < cfg.ops_per_client {
@@ -733,22 +1062,10 @@ fn store_client_loop(
         // reply-tag retirement socket transports perform here is safe —
         // and the batching layer flushes first (see `BatchingTransport`).
         bt.on_op_start(me);
-        // All random draws happen here, in program order: two per op, so
-        // the rng stream position is independent of reply scheduling.
-        let mut pending: VecDeque<OpSpec> = (0..burst_n)
-            .map(|_| {
-                let idx = op_idx;
-                op_idx += 1;
-                let key = ObjId(u32::try_from(rng.draw(cfg.keys as usize)).expect("key fits u32"));
-                let is_read = rng.draw(1000) < usize::from(cfg.read_per_mille);
-                OpSpec {
-                    idx,
-                    key,
-                    shard: ring_map.shard_for(key),
-                    is_read,
-                    deferred: false,
-                }
-            })
+        // All random draws happen here, in program order (see `draw_op`),
+        // so the rng stream position is independent of reply scheduling.
+        let mut pending: VecDeque<OpSpec> = (done..done + burst_n)
+            .map(|idx| draw_op(&mut rng, cfg, k, ring_map, idx))
             .collect();
         // BTreeMap keeps timeout retransmission order deterministic.
         let mut active: BTreeMap<u32, InFlight> = BTreeMap::new();
@@ -799,6 +1116,7 @@ fn store_client_loop(
                         + i64::try_from(spec.idx).expect("op index fits i64");
                     (MethodId::WRITE, Val::Int(v))
                 };
+                telemetry.on_call(c, shard);
                 let _ = mon_txs[shard as usize].send(Action::Call {
                     inv,
                     pid: me,
@@ -815,12 +1133,9 @@ fn store_client_loop(
                     },
                     me.0,
                     inv.0,
-                    encode_val(match &arg {
-                        Val::Int(v) => Some(*v),
-                        _ => None,
-                    }),
+                    encode_int(&arg),
                     span.flight_word(),
-                    u64::from(spec.key.0),
+                    cfg.flight_key(spec.key),
                 );
                 let t0 = Instant::now();
                 let dsts = &shard_servers[shard as usize];
@@ -840,7 +1155,7 @@ fn store_client_loop(
                     } else {
                         OpKind::Write(arg)
                     };
-                    let op = ActiveOp::start(inv, spec.key, kind, 1, sn);
+                    let op = ActiveOp::start(inv, spec.key, kind, k, sn);
                     bt.broadcast_span(me, dsts, &AbdMsg::Query { obj: spec.key, sn }, false, span);
                     Machine::Abd(op)
                 };
@@ -916,12 +1231,12 @@ fn store_client_loop(
                             match &mut fl.machine {
                                 Machine::Broken { .. } => {
                                     complete_op(
-                                        me,
+                                        c,
                                         &fl,
                                         val,
                                         &local,
                                         &ring,
-                                        mon_txs,
+                                        shared,
                                         &mut active_keys,
                                     );
                                     let h = &mut health[fl.spec.shard as usize];
@@ -971,11 +1286,23 @@ fn store_client_loop(
                                             active.insert(new_sn, fl);
                                         }
                                         ReplyEffect::NeedChoice { .. } => {
-                                            // Drawing here would make the rng
-                                            // stream depend on arrival order;
-                                            // the store pins k = 1 so this
-                                            // state is unreachable.
-                                            unreachable!("ABD with k = 1 has no object random step")
+                                            // The object random step: its
+                                            // choice was drawn at burst setup.
+                                            let (new_sn, val, ts) =
+                                                op.choose(fl.spec.choice, me, &mut sn_counter);
+                                            bt.broadcast_span(
+                                                me,
+                                                &shard_servers[fl.spec.shard as usize],
+                                                &AbdMsg::Update {
+                                                    obj,
+                                                    sn: new_sn,
+                                                    val,
+                                                    ts,
+                                                },
+                                                false,
+                                                fl.span,
+                                            );
+                                            active.insert(new_sn, fl);
                                         }
                                         ReplyEffect::Ignored | ReplyEffect::Counted => {
                                             active.insert(msg_sn, fl);
@@ -999,12 +1326,12 @@ fn store_client_loop(
                             match op.on_ack(env.src, msg_sn, quorum) {
                                 AckEffect::Complete { ret } => {
                                     complete_op(
-                                        me,
+                                        c,
                                         &fl,
                                         ret,
                                         &local,
                                         &ring,
-                                        mon_txs,
+                                        shared,
                                         &mut active_keys,
                                     );
                                     let h = &mut health[fl.spec.shard as usize];
@@ -1104,40 +1431,39 @@ fn store_client_loop(
         }
         done += burst_n;
     }
-    latency.merge(&local);
-    retransmissions.fetch_add(retrans, Ordering::Relaxed);
-    degraded_ops.fetch_add(deferred, Ordering::Relaxed);
+    shared.latency.merge(&local);
+    shared.retransmissions.fetch_add(retrans, Ordering::Relaxed);
+    shared.degraded_ops.fetch_add(deferred, Ordering::Relaxed);
 }
 
 /// Seals one finished operation: latency, flight event, monitor `Return`,
 /// key release.
 fn complete_op(
-    me: Pid,
+    c: u32,
     fl: &InFlight,
     ret: Val,
     local: &Histogram,
     ring: &FlightRing,
-    mon_txs: &[Sender<Action>],
+    shared: &Clients<'_>,
     active_keys: &mut HashSet<u32>,
 ) {
     let lat_us = u64::try_from(fl.t0.elapsed().as_micros()).unwrap_or(u64::MAX);
     local.record(lat_us);
+    let me = shared.cfg.servers_total() + c;
     ring.record_span_key(
         if fl.spec.is_read {
             FlightKind::OpCompleteRead
         } else {
             FlightKind::OpCompleteWrite
         },
-        me.0,
+        me,
         fl.inv.0,
-        encode_val(match &ret {
-            Val::Int(v) => Some(*v),
-            _ => None,
-        }),
+        encode_int(&ret),
         fl.span.flight_word(),
-        u64::from(fl.spec.key.0),
+        shared.cfg.flight_key(fl.spec.key),
     );
-    let _ = mon_txs[fl.spec.shard as usize].send(Action::Return {
+    shared.telemetry.on_return(c, fl.spec.shard, lat_us);
+    let _ = shared.mon_txs[fl.spec.shard as usize].send(Action::Return {
         inv: fl.inv,
         val: ret,
     });
@@ -1159,7 +1485,9 @@ mod tests {
         cfg.pipeline_depth = depth;
         let runs: Vec<StoreReport> = [1, 2, cfg.shards as usize]
             .iter()
-            .map(|&hosts| run_store_on(&cfg, hosts).expect("valid fault config"))
+            .map(|&hosts| {
+                run_store_on(&cfg, &RunOptions::default(), hosts).expect("valid fault config")
+            })
             .collect();
         for r in &runs {
             assert!(r.monitor.clean(), "violations: {:?}", r.monitor.violations);
@@ -1196,5 +1524,56 @@ mod tests {
             );
         }
         layouts(StoreConfig::smoke(0).pipeline_depth);
+    }
+
+    /// A replay of splitmix64 written out from its definition, with the
+    /// same rejection-sampled uniform draw.
+    struct Replay(u64);
+
+    impl Replay {
+        fn draw(&mut self, n: u64) -> u64 {
+            let zone = u64::MAX - (u64::MAX % n);
+            loop {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                let x = z ^ (z >> 31);
+                if x < zone {
+                    return x % n;
+                }
+            }
+        }
+    }
+
+    /// Every random draw of an op happens when its burst is set up, in
+    /// program order: key, read/write, then the object random choice —
+    /// which only exists for `k > 1`, so `k = 1` streams carry two draws
+    /// per op.
+    #[test]
+    fn op_draws_are_key_then_read_write_then_choice_in_program_order() {
+        let cfg = StoreConfig::smoke(0xD2A3);
+        let ring_map = HashRing::new(cfg.seed, cfg.shards);
+        for k in [1u32, 2, 3] {
+            let c = 2;
+            let mut rng = op_stream(cfg.seed, c);
+            let mut replay = Replay(
+                cfg.seed ^ 0x5704_E000_0000_0000 ^ u64::from(c).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            let mut choices_seen = HashSet::new();
+            for idx in 0..500 {
+                let spec = draw_op(&mut rng, &cfg, k, &ring_map, idx);
+                let key = replay.draw(u64::from(cfg.keys));
+                let is_read = replay.draw(1000) < u64::from(cfg.read_per_mille);
+                let choice = if k > 1 { replay.draw(u64::from(k)) } else { 0 };
+                assert_eq!(spec.idx, idx);
+                assert_eq!(u64::from(spec.key.0), key, "k={k} op {idx}: key");
+                assert_eq!(spec.is_read, is_read, "k={k} op {idx}: read/write");
+                assert_eq!(spec.choice as u64, choice, "k={k} op {idx}: choice");
+                assert_eq!(spec.shard, ring_map.shard_for(spec.key));
+                choices_seen.insert(spec.choice);
+            }
+            assert_eq!(choices_seen.len(), k as usize, "every choice is drawn");
+        }
     }
 }

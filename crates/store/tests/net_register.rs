@@ -1,19 +1,19 @@
-//! The socket-transport acceptance run, in one process: three servers each
-//! running [`blunt_runtime::run_net_server`] on its own thread behind a
-//! loopback Unix-domain socket, plus the [`blunt_runtime::run_chaos_net`]
-//! driver — the same topology the `net-smoke` CI job runs as separate
-//! `chaos serve` processes, minus the process boundary.
+//! The socket-transport acceptance run for the single-register shape, in
+//! one process: three servers each running [`blunt_runtime::run_net_server`]
+//! on its own thread behind a loopback Unix-domain socket, plus the
+//! [`blunt_store::run_store_net`] driver — the same topology the
+//! `net-smoke` CI job runs as separate `chaos serve` processes, minus the
+//! process boundary.
 //!
-//! The run must complete ≥ 10k operations under the light fault mix with
+//! The run must complete ≥ 10k operations under the full fault mix with
 //! amnesia crashes, report zero linearizability violations, and show at
 //! least one server crash *and recovery* mid-run — i.e. the WAL + peer
 //! catch-up machinery works when peers are sockets, not mailboxes.
 
 use std::thread;
 
-use blunt_runtime::{
-    run_chaos_net, run_net_server, Addr, NetChaosTopology, NetServeConfig, RuntimeConfig,
-};
+use blunt_runtime::{run_net_server, Addr, NetServeConfig, NetServeReport, RecoveryMode};
+use blunt_store::{run_store_net, StoreConfig};
 
 fn uds_addrs(tag: &str, n: u32) -> Vec<Addr> {
     let dir = std::env::temp_dir().join(format!("blunt-net-chaos-{tag}-{}", std::process::id()));
@@ -23,19 +23,17 @@ fn uds_addrs(tag: &str, n: u32) -> Vec<Addr> {
         .collect()
 }
 
-#[test]
-fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
-    let mut cfg = RuntimeConfig::smoke_amnesia(0x4E75_0001);
-    cfg.ops_per_client = 2_500; // 4 clients × 2 500 = 10 000 ops
-    let addrs = uds_addrs("amnesia", cfg.servers);
-    let servers: Vec<_> = (0..cfg.servers)
+/// One unsharded `chaos serve` thread per address.
+fn serve(cfg: &StoreConfig, addrs: &[Addr]) -> Vec<thread::JoinHandle<NetServeReport>> {
+    let servers = cfg.servers_total();
+    (0..servers)
         .map(|i| {
             let scfg = NetServeConfig {
                 listen: addrs[i as usize].clone(),
                 server_id: i,
-                servers: cfg.servers,
+                servers,
                 clients: cfg.clients,
-                peers: addrs.clone(),
+                peers: addrs.to_vec(),
                 seed: cfg.seed,
                 faults: cfg.faults,
                 recovery: cfg.recovery,
@@ -44,12 +42,17 @@ fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
             };
             thread::spawn(move || run_net_server(&scfg).expect("server run"))
         })
-        .collect();
+        .collect()
+}
 
-    let topo = NetChaosTopology {
-        servers: addrs.clone(),
-    };
-    let report = run_chaos_net(&cfg, &topo).expect("valid fault config");
+#[test]
+fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
+    let mut cfg = StoreConfig::register_smoke(0x4E75_0001);
+    cfg.recovery = RecoveryMode::amnesia();
+    cfg.ops_per_client = 2_500; // 4 clients × 2 500 = 10 000 ops
+    let addrs = uds_addrs("amnesia", cfg.servers_total());
+    let servers = serve(&cfg, &addrs);
+    let report = run_store_net(&cfg, &addrs).expect("valid fault config");
 
     let mut server_crashes = 0;
     let mut server_recoveries = 0;
@@ -72,8 +75,8 @@ fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
     );
     assert!(!report.stalled, "run stalled");
     // The fault mix really fired at the socket layer (client→server half).
-    assert!(report.bus.dropped > 0, "{:?}", report.bus);
-    assert!(report.bus.crash_events > 0, "{:?}", report.bus);
+    assert!(report.stats.dropped > 0, "{:?}", report.stats);
+    assert!(report.stats.crash_events > 0, "{:?}", report.stats);
     // At least one server crashed with amnesia and recovered mid-run, and
     // every crash ran a recovery.
     assert!(server_crashes >= 1, "no server crashed");
@@ -114,30 +117,11 @@ fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
 
 #[test]
 fn net_run_is_clean_under_stable_recovery_too() {
-    let mut cfg = RuntimeConfig::smoke(0x4E75_0002);
+    let mut cfg = StoreConfig::register_smoke(0x4E75_0002);
     cfg.ops_per_client = 500;
-    let addrs = uds_addrs("stable", cfg.servers);
-    let servers: Vec<_> = (0..cfg.servers)
-        .map(|i| {
-            let scfg = NetServeConfig {
-                listen: addrs[i as usize].clone(),
-                server_id: i,
-                servers: cfg.servers,
-                clients: cfg.clients,
-                peers: addrs.clone(),
-                seed: cfg.seed,
-                faults: cfg.faults,
-                recovery: cfg.recovery,
-                shard_size: None,
-                dump_dir: None,
-            };
-            thread::spawn(move || run_net_server(&scfg).expect("server run"))
-        })
-        .collect();
-    let topo = NetChaosTopology {
-        servers: addrs.clone(),
-    };
-    let report = run_chaos_net(&cfg, &topo).expect("valid fault config");
+    let addrs = uds_addrs("stable", cfg.servers_total());
+    let servers = serve(&cfg, &addrs);
+    let report = run_store_net(&cfg, &addrs).expect("valid fault config");
     for s in servers {
         s.join().expect("server thread");
     }

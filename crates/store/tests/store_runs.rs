@@ -9,13 +9,15 @@
 //! - pipelining preserves per-key order: deep pipelines stay clean;
 //! - the intentionally-broken single-server read is caught by the
 //!   per-shard monitor on the keyed store, with a rendered window;
+//! - pipelined ABD^k (k = 2) stays clean under amnesia with seed-
+//!   deterministic per-shard recoveries;
 //! - the same client loop over real sockets (UDS loopback) stays clean.
 
 use std::thread;
 
 use blunt_net::Addr;
 use blunt_runtime::{run_net_server, NetServeConfig, RecoveryMode};
-use blunt_store::{run_store, run_store_net, StoreConfig};
+use blunt_store::{run_store, run_store_net, run_store_with, RunOptions, StoreConfig};
 
 #[test]
 fn keyed_smoke_under_light_faults_zero_violations() {
@@ -166,6 +168,44 @@ fn amnesia_recovery_on_the_keyed_store_is_clean_and_seed_deterministic() {
     assert_eq!(a.shard_recoveries, b.shard_recoveries);
     assert_eq!(a.ops, b.ops);
     assert!(b.monitor.clean());
+}
+
+#[test]
+fn pipelined_abd_k2_under_amnesia_is_clean_and_recovers_deterministically() {
+    // O² of Algorithm 2 with several ops in flight per client: the object
+    // random step's choice is drawn at burst setup, so pipelining cannot
+    // reorder the rng stream.
+    let run = || {
+        let mut cfg = StoreConfig::smoke(0x5709_0A02);
+        cfg.recovery = RecoveryMode::amnesia();
+        cfg.faults.crash_len = 4;
+        cfg.faults.crash_period = 20 * u64::from(cfg.servers_total());
+        assert_eq!((cfg.shards, cfg.pipeline_depth), (4, 4));
+        let opts = RunOptions {
+            k: 2,
+            ..RunOptions::default()
+        };
+        run_store_with(&cfg, &opts).expect("valid fault config")
+    };
+    let a = run();
+    assert!(
+        a.monitor.clean(),
+        "pipelined k=2 violations: {:?}",
+        a.monitor
+            .violations
+            .iter()
+            .map(|v| &v.rendered)
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(a.ops, 2_000);
+    assert!(a.recovery.crashes >= 1, "{:?}", a.recovery);
+    assert_eq!(a.shard_recoveries.len(), 4);
+    for &(crashes, recoveries) in &a.shard_recoveries {
+        assert_eq!(crashes, recoveries);
+    }
+    let b = run();
+    assert!(b.monitor.clean());
+    assert_eq!(a.shard_recoveries, b.shard_recoveries);
 }
 
 #[test]
