@@ -88,7 +88,7 @@ const USAGE: &str = "usage: chaos [--smoke] [--seed N] [--results-out PATH] \
      [--summary-out PATH] [--dump-dir DIR] [--watch DUR] [--watch-out PATH] \
      [--ops-per-client N] \
      [--fault-profile none|light|heavy|amnesia] [--crash-len N] [--crash-period N] \
-     [--connect ADDR,ADDR,...] [--k N] [--recovery stable|amnesia] \
+     [--connect ADDR,ADDR,... [--k N]] [--recovery stable|amnesia] \
      [--demo-broken | --demo-amnesia]\n\
        chaos --store [--smoke] [--keys N] [--shards N] [--pipeline-depth N] [--batch N] \\\n\
              [--ops-per-client N] [--fault-profile none|light|heavy|amnesia] [--seed N] \\\n\
@@ -164,8 +164,9 @@ struct Cli {
     /// `--connect a,b,c`: drive external `chaos serve` processes at these
     /// addresses instead of in-process server threads.
     connect: Option<Vec<Addr>>,
-    /// Preamble depth for the single `--connect` configuration.
-    k: u32,
+    /// `--k N`: preamble depth for the single `--connect` register
+    /// configuration (default 1).
+    k: Option<u32>,
     /// `--recovery stable|amnesia`: crash semantics override, applied after
     /// `--fault-profile`. In `--connect` mode this MUST match what the
     /// `chaos serve` processes were started with.
@@ -182,8 +183,8 @@ struct Cli {
     pipeline_depth: Option<u32>,
     batch: Option<usize>,
     /// `--batch-hist-out p`: where the store run writes its batch-size
-    /// histogram artifact.
-    batch_hist_out: PathBuf,
+    /// histogram artifact (default `target/chaos/store_batch_hist.json`).
+    batch_hist_out: Option<PathBuf>,
 }
 
 fn usage_error(msg: &str) -> ! {
@@ -254,7 +255,7 @@ fn parse_cli() -> Cli {
         crash_len: None,
         crash_period: None,
         connect: None,
-        k: 1,
+        k: None,
         recovery: None,
         store: false,
         sweep: None,
@@ -262,7 +263,7 @@ fn parse_cli() -> Cli {
         shards: None,
         pipeline_depth: None,
         batch: None,
-        batch_hist_out: PathBuf::from("target/chaos/store_batch_hist.json"),
+        batch_hist_out: None,
     };
     fn value(flag: &str, args: &mut impl Iterator<Item = String>) -> String {
         args.next()
@@ -321,13 +322,14 @@ fn parse_cli() -> Cli {
             }
             "--k" => {
                 let v = value("--k", &mut args);
-                cli.k = v
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=4).contains(n))
-                    .unwrap_or_else(|| {
-                        usage_error(&format!("--k: `{v}` is not an integer in 1..=4"))
-                    });
+                cli.k = Some(
+                    v.parse()
+                        .ok()
+                        .filter(|n| (1..=4).contains(n))
+                        .unwrap_or_else(|| {
+                            usage_error(&format!("--k: `{v}` is not an integer in 1..=4"))
+                        }),
+                );
             }
             "--recovery" => {
                 let v = value("--recovery", &mut args);
@@ -368,7 +370,9 @@ fn parse_cli() -> Cli {
                     usage_error(&format!("--batch: `{v}` is not a positive batch size"))
                 }));
             }
-            "--batch-hist-out" => cli.batch_hist_out = value("--batch-hist-out", &mut args).into(),
+            "--batch-hist-out" => {
+                cli.batch_hist_out = Some(value("--batch-hist-out", &mut args).into());
+            }
             other => usage_error(&format!("unknown flag {other}")),
         }
     }
@@ -381,11 +385,15 @@ fn parse_cli() -> Cli {
             ("--shards", cli.shards.is_some()),
             ("--pipeline-depth", cli.pipeline_depth.is_some()),
             ("--batch", cli.batch.is_some()),
+            ("--batch-hist-out", cli.batch_hist_out.is_some()),
         ] {
             if set {
                 usage_error(&format!("{flag} only applies with --store"));
             }
         }
+    }
+    if cli.k.is_some() && (cli.store || cli.connect.is_none()) {
+        usage_error("--k only applies to the --connect register run (without --store)");
     }
     if !cli.store && cli.connect.is_some() && (cli.demo_broken || cli.demo_amnesia) {
         usage_error("--connect does not combine with the demo modes");
@@ -512,10 +520,11 @@ fn net_register_config(cli: &Cli, addrs: &[Addr]) -> Run {
         None => "chaos",
     };
     apply_overrides(&mut cfg, cli);
+    let k = cli.k.unwrap_or(1);
     Run {
-        name: format!("net.abd_k{}_{suffix}", cli.k),
+        name: format!("net.abd_k{k}_{suffix}"),
         cfg,
-        k: cli.k,
+        k,
     }
 }
 
@@ -1338,8 +1347,12 @@ fn run_set(cli: &Cli, runs: Vec<Run>) -> ExitCode {
     println!("run summary written to {}", cli.summary_out.display());
     if cli.store {
         let (name, report) = last.as_ref().expect("one store run");
-        ensure_parent("--batch-hist-out", &cli.batch_hist_out);
-        write_batch_hist(&cli.batch_hist_out, name, report);
+        let path = cli
+            .batch_hist_out
+            .clone()
+            .unwrap_or_else(|| PathBuf::from("target/chaos/store_batch_hist.json"));
+        ensure_parent("--batch-hist-out", &path);
+        write_batch_hist(&path, name, report);
     }
 
     if !dirty.is_empty() {

@@ -200,6 +200,31 @@ fn zero_ops_per_client_is_a_usage_error_naming_the_flag() {
 }
 
 #[test]
+fn flags_outside_the_run_they_apply_to_are_usage_errors_naming_the_flag() {
+    // `--k` sets the preamble depth of the `--connect` register run only;
+    // `--batch-hist-out` is written by store runs only. Anywhere else they
+    // would be silently ignored.
+    for (flag, args) in [
+        ("--k", &["--smoke", "--k", "3"][..]),
+        ("--k", &["--store", "--smoke", "--k", "2"]),
+        ("--k", &["--demo-broken", "--k", "2"]),
+        ("--k", &["--sweep", "2", "--smoke", "--k", "2"]),
+        (
+            "--batch-hist-out",
+            &["--smoke", "--batch-hist-out", "h.json"],
+        ),
+    ] {
+        let out = chaos(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag),
+            "{args:?}: error names {flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn demo_broken_emits_a_flight_dump_whose_diagram_contains_the_violating_ops() {
     let dir = tmp_dir("demo-broken");
     let dump_dir = dir.join("flight");
@@ -308,6 +333,14 @@ fn watched_smoke_runs_reproduce_identical_summaries_and_coverage() {
     let a = run("a");
     let b = run("b");
     assert_eq!(a, b, "same-seed watched runs write identical summaries");
+    // The in-process fault schedule is pinned: every summary field of this
+    // run (ops, fates, per-link coverage, crash events) is a pure function
+    // of the seed, committed byte for byte.
+    assert_eq!(
+        a,
+        include_str!("fixtures/chaos_summary_v3.json"),
+        "the seed-7 smoke summary drifted from the committed golden"
+    );
     assert!(a.contains("\"type\":\"chaos_summary\""));
     assert!(a.contains("\"coverage\""));
     assert!(a.contains("\"monitor_actions\""));

@@ -1,7 +1,7 @@
 //! Schema compatibility for the `chaos_summary` document: the v3 reader
-//! must keep reading committed v1 summaries (no `transport` label) and v2
-//! summaries (no per-server telemetry sections), and must refuse schemas
-//! it does not know.
+//! must keep reading committed v1 summaries (no `transport` label), v2
+//! summaries (no per-server telemetry sections), and real v3 summaries,
+//! and must refuse schemas it does not know.
 
 use blunt_bench::parse_chaos_summary;
 
@@ -13,6 +13,10 @@ const V1_FIXTURE: &str = include_str!("fixtures/chaos_summary_v1.json");
 /// 48879` binary (transport labels, no `servers` sections), committed
 /// verbatim.
 const V2_FIXTURE: &str = include_str!("fixtures/chaos_summary_v2.json");
+
+/// A real v3 summary: `chaos --smoke --seed 7 --ops-per-client 120`,
+/// committed verbatim (the `chaos_cli` golden run).
+const V3_FIXTURE: &str = include_str!("fixtures/chaos_summary_v3.json");
 
 #[test]
 fn v1_fixture_reads_with_in_process_transport_default() {
@@ -55,6 +59,26 @@ fn v2_fixture_reads_with_empty_server_sections() {
         assert!(
             c.servers.is_empty(),
             "v2 entries predate per-server telemetry: {}",
+            c.name
+        );
+    }
+    assert!(s.configs.iter().any(|c| c.name == "smoke.abd_k1_chaos"));
+}
+
+#[test]
+fn v3_fixture_reads_every_in_process_config() {
+    let s = parse_chaos_summary(V3_FIXTURE).expect("v3 summary parses");
+    assert_eq!(s.schema_version, 3);
+    assert_eq!(s.seed, 7);
+    assert_eq!(s.mode, "smoke");
+    assert!(!s.configs.is_empty());
+    for c in &s.configs {
+        assert_eq!(c.transport, "in-process", "{}", c.name);
+        assert_eq!(c.violations, 0, "{} had violations in the fixture", c.name);
+        assert!(c.ops > 0, "{} has no ops", c.name);
+        assert!(
+            c.servers.is_empty(),
+            "in-process entries carry no server sections: {}",
             c.name
         );
     }

@@ -2,18 +2,20 @@
 //! process; servers are reached over sockets.
 //!
 //! [`NetClient`] owns the **client→server** half of the fault schedule:
-//! every non-exempt request consults the shared [`Injector`] exactly like
-//! the in-process bus would, and the resulting fate is realized at the
-//! socket — `Drop` family skips the write, `Duplicate` writes the same
-//! tagged frame twice (the server's dedup window absorbs the copy), and
-//! crash-window exits inject the exempt amnesia signal *before* the
-//! triggering frame on the same FIFO connection. `Reorder`/`Delay` never
-//! occur on client→server links (the schedule restricts them to
-//! server→client), so the driver needs no hold-back machinery.
+//! every request goes through the shared [`Realizer`] exactly like on the
+//! in-process bus, and this endpoint's sink writes the tagged frame to the
+//! destination server's connection — so a `Duplicate` is the same tagged
+//! frame twice (the server's dedup window absorbs the copy), and a
+//! crash-window exit writes the exempt amnesia signal *before* the
+//! triggering frame on the same FIFO connection. The schedule draws no
+//! `Reorder`/`Delay` on client→server links, so this endpoint never holds
+//! a frame back or starts a delayer.
 //!
-//! Inbound frames are replies: each reader thread routes them to the
-//! issuing client's lane by the frame's `re` header via [`ReplyRouter`];
-//! replies to retired tags count as `net.rpc.tag_mismatch_drops`.
+//! Inbound frames are replies: each reader thread admits every envelope —
+//! an `Env` frame as a batch of one — through the connection's dedup
+//! window and routes it to the issuing client's lane by its `re` header
+//! via [`ReplyRouter`]; replies to retired tags count as
+//! `net.rpc.tag_mismatch_drops`.
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -21,15 +23,15 @@ use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
 use blunt_obs::flight::FlightDump;
-use blunt_obs::{FlightKind, FlightRecorder, FlightRing};
+use blunt_obs::FlightRecorder;
 
 use crate::conn::Addr;
-use crate::fault::{Fate, FaultConfig, FaultConfigError};
+use crate::fault::{FaultConfig, FaultConfigError};
 use crate::frame::{read_frame, Frame, TaggedEnv, DRIVER_NODE};
-use crate::injector::{Injector, TransportStats};
-use crate::pool::{BroadcastPool, ConnectionPool};
+use crate::injector::{Injector, Realizer, TransportStats};
+use crate::pool::ConnectionPool;
 use crate::rpc::{DedupWindow, ReplyRouter, TagGen};
-use crate::wire::{Envelope, Payload, SpanCtx};
+use crate::wire::Envelope;
 use crate::{Coverage, Transport};
 
 /// How a driver reaches its servers.
@@ -43,7 +45,7 @@ pub struct NetClientCfg {
     /// Number of client threads this driver runs.
     pub clients: u32,
     /// Whether crash-window exits raise the amnesia signal (sent to the
-    /// crashed server as an exempt [`Payload::Crash`] frame).
+    /// crashed server as an exempt [`Payload::Crash`](crate::Payload::Crash) frame).
     pub signal_crashes: bool,
 }
 
@@ -111,6 +113,25 @@ struct Shared {
 }
 
 impl Shared {
+    /// Admits inbound envelopes, in order: each passes the connection's
+    /// dedup window and is routed to its client's lane by `re`.
+    fn admit(&self, dedup: &mut DedupWindow, entries: impl IntoIterator<Item = TaggedEnv>) {
+        for e in entries {
+            if !dedup.admit(e.tag) {
+                blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
+                continue;
+            }
+            match self.router.route(e.re) {
+                Some(lane) => {
+                    let _ = self.lanes[lane].send(e.env.in_reply_to(e.tag));
+                }
+                None => {
+                    blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc();
+                }
+            }
+        }
+    }
+
     fn reader_loop(&self, peer: usize, mut stream: crate::conn::Stream) {
         let mut dedup = DedupWindow::new(1024);
         loop {
@@ -120,39 +141,9 @@ impl Shared {
             };
             match frame {
                 Frame::Env { tag, re, env } => {
-                    if !dedup.admit(tag) {
-                        blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
-                        continue;
-                    }
-                    match self.router.route(re) {
-                        Some(lane) => {
-                            let _ = self.lanes[lane].send(env.in_reply_to(tag));
-                        }
-                        None => {
-                            blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc();
-                        }
-                    }
+                    self.admit(&mut dedup, [TaggedEnv { tag, re, env }]);
                 }
-                Frame::EnvBatch { entries } => {
-                    // Unpack in order: each entry is handled exactly as if
-                    // it had arrived as its own `Env` frame (same dedup,
-                    // same lane routing), so batching is invisible above
-                    // the framing layer.
-                    for e in entries {
-                        if !dedup.admit(e.tag) {
-                            blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
-                            continue;
-                        }
-                        match self.router.route(e.re) {
-                            Some(lane) => {
-                                let _ = self.lanes[lane].send(e.env.in_reply_to(e.tag));
-                            }
-                            None => {
-                                blunt_obs::static_counter!("net.rpc.tag_mismatch_drops").inc();
-                            }
-                        }
-                    }
-                }
+                Frame::EnvBatch { entries } => self.admit(&mut dedup, entries),
                 Frame::HelloAck { echo_t, t_us, .. } => {
                     // Cristian's algorithm: assume the reply took half the
                     // round trip, so the server stamped `t_us` at roughly
@@ -214,8 +205,8 @@ impl Shared {
 /// client→server fault links, and reply routing back to client lanes.
 pub struct NetClient {
     servers: u32,
-    injector: Mutex<Injector>,
-    pool: BroadcastPool,
+    realizer: Realizer<TaggedEnv>,
+    pool: Arc<ConnectionPool>,
     tags: TagGen,
     shared: Arc<Shared>,
     flight: Arc<FlightRecorder>,
@@ -255,7 +246,7 @@ impl NetClient {
         });
         let reader_shared = Arc::clone(&shared);
         let hello_flight = Arc::clone(&flight);
-        let pool = ConnectionPool::new(
+        let pool = Arc::new(ConnectionPool::new(
             cfg.servers.clone(),
             // Fresh clock sample per dial: the server echoes `t_us` in its
             // `HelloAck`, giving the reader loop one offset estimate per
@@ -268,11 +259,12 @@ impl NetClient {
                 let shared = Arc::clone(&reader_shared);
                 std::thread::spawn(move || shared.reader_loop(peer, stream));
             },
-        );
+        ));
+        let late = Arc::clone(&pool);
         let client = Arc::new(NetClient {
             servers,
-            injector: Mutex::new(injector),
-            pool: BroadcastPool::new(pool),
+            realizer: Realizer::new(injector, move |t| write(&late, t)),
+            pool,
             tags: TagGen::new(),
             shared,
             flight,
@@ -280,22 +272,23 @@ impl NetClient {
         Ok((client, receivers))
     }
 
-    /// A fresh tag for an outbound frame, registered for reply routing when
-    /// the sender is a client lane.
-    fn tag_for(&self, src: Pid) -> u64 {
+    /// `env` under a fresh tag, registered for reply routing when the
+    /// sender is a client lane. Exempt frames keep their reply
+    /// correlation; faulted traffic is always unsolicited from this
+    /// endpoint.
+    fn tagged(&self, env: Envelope) -> TaggedEnv {
         let tag = self.tags.next();
-        if src.0 >= self.servers {
+        if env.src.0 >= self.servers {
             self.shared
                 .router
-                .register((src.0 - self.servers) as usize, tag);
+                .register((env.src.0 - self.servers) as usize, tag);
         }
-        tag
-    }
-
-    fn write(&self, dst: Pid, frame: &Frame) {
-        // A send failure is a lost frame; retransmission recovers, exactly
-        // as with any other drop on the path.
-        let _ = self.pool.pool().send(dst.index(), frame);
+        let re = if env.exempt { env.reply_to } else { 0 };
+        TaggedEnv {
+            tag,
+            re,
+            env: Envelope { reply_to: 0, ..env },
+        }
     }
 
     /// Total recoveries across all servers' latest telemetry snapshots —
@@ -319,71 +312,13 @@ impl NetClient {
         self.shared.remote.lock().expect("remote lock").clone()
     }
 
-    /// Draws one envelope's fate (exempt envelopes bypass the injector)
-    /// and realizes every side effect except the frame write itself:
-    /// fate flight events, and the exempt amnesia signal written *before*
-    /// the triggering frame on the same FIFO connection. Returns how many
-    /// copies of the envelope reach the wire (0 = dropped, 2 =
-    /// duplicated). Shared by [`Transport::send`] and
-    /// [`Transport::send_batch`], so a batched sender consumes exactly
-    /// the fault-schedule indices — in exactly the per-link order — that
-    /// the equivalent unbatched loop would.
-    fn fate_copies(&self, env: &Envelope, ring: &FlightRing) -> usize {
-        if env.exempt {
-            return 1;
-        }
-        let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        let (fate, signal) = {
-            let mut inj = self.injector.lock().expect("injector lock");
-            inj.decide(env.src, env.dst)
-        };
-        match fate {
-            Fate::Deliver => {}
-            Fate::Drop => ring.record(FlightKind::FaultDrop, src, u64::from(dst), label),
-            Fate::Duplicate => ring.record(FlightKind::FaultDuplicate, src, u64::from(dst), label),
-            Fate::Reorder => ring.record(FlightKind::FaultReorder, src, u64::from(dst), label),
-            Fate::Delay(ms) => {
-                ring.record(FlightKind::FaultDelay, src, u64::from(dst), u64::from(ms));
-            }
-            Fate::CrashDrop { window } => {
-                ring.record(FlightKind::FaultCrashDrop, src, u64::from(dst), window);
-            }
-            Fate::PartitionDrop { window } => {
-                ring.record(FlightKind::FaultPartitionDrop, src, u64::from(dst), window);
-            }
-        }
-        if let Some((crashed, window)) = signal {
-            // Before the triggering frame, on the same FIFO connection: the
-            // server must crash and recover before serving any post-window
-            // traffic.
-            let frame = Frame::Env {
-                tag: self.tags.next(),
-                re: 0,
-                env: Envelope {
-                    src: crashed,
-                    dst: crashed,
-                    msg: Payload::Crash { window },
-                    exempt: true,
-                    reply_to: 0,
-                    span: SpanCtx::NONE,
-                },
-            };
-            self.write(crashed, &frame);
-        }
-        match fate {
-            // Reorder/Delay are schedule-restricted to server→client links
-            // and unreachable here; deliver defensively if they ever appear.
-            Fate::Deliver | Fate::Reorder | Fate::Delay(_) => 1,
-            Fate::Duplicate => 2,
-            Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. } => 0,
-        }
-    }
-
     /// Tells every server to finish up, then waits up to `wait` for their
     /// `Goodbye` stats. Missing goodbyes (a server that died hard) come
     /// back as `None`.
     pub fn shutdown(&self, wait: Duration) -> Vec<Option<ServerGoodbye>> {
-        self.pool.broadcast(|_| Frame::Shutdown);
+        for peer in 0..self.pool.len() {
+            let _ = self.pool.send(peer, &Frame::Shutdown);
+        }
         let deadline = Instant::now() + wait;
         loop {
             {
@@ -397,37 +332,25 @@ impl NetClient {
     }
 }
 
+/// Writes `t` as an `Env` frame to its destination server. A failed write
+/// is a lost frame; retransmission recovers, exactly as with any other
+/// drop on the path.
+fn write(pool: &ConnectionPool, t: TaggedEnv) {
+    let dst = t.env.dst.index();
+    let _ = pool.send(dst, &t.into());
+}
+
 impl Transport for NetClient {
     fn send(&self, env: Envelope) {
-        let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        let ring = self.flight.thread_ring();
-        ring.record_span(
-            FlightKind::BusSend,
-            src,
-            u64::from(dst),
-            label,
-            env.span.flight_word(),
-        );
-        let tag = self.tag_for(env.src);
-        // Exempt frames keep their reply correlation; faulted traffic is
-        // always unsolicited from this endpoint.
-        let re = if env.exempt { env.reply_to } else { 0 };
-        let copies = self.fate_copies(&env, &ring);
-        let frame = Frame::Env {
-            tag,
-            re,
-            env: Envelope { reply_to: 0, ..env },
-        };
-        for _ in 0..copies {
-            // A duplicate is the same tag twice: the wire sees two frames,
-            // the receiver's dedup window absorbs the copy.
-            self.write(Pid(dst), &frame);
-        }
+        let put = |t| write(&self.pool, t);
+        let signal = |crash| write(&self.pool, self.tagged(crash));
+        self.realizer
+            .realize(self.tagged(env), &self.flight.thread_ring(), put, signal);
     }
 
     fn send_batch(&self, envs: Vec<Envelope>) {
         let ring = self.flight.thread_ring();
-        // Surviving entries grouped per destination, in first-appearance
+        // Delivered entries grouped per destination, in first-appearance
         // order. Fates are drawn per logical envelope, in the caller's
         // order, BEFORE any batch frame is written — so the injector
         // consumes the same per-link index sequence as the unbatched loop
@@ -435,41 +358,21 @@ impl Transport for NetClient {
         // FIFO connection.
         let mut per_dst: Vec<(Pid, Vec<TaggedEnv>)> = Vec::new();
         for env in envs {
-            let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-            ring.record_span(
-                FlightKind::BusSend,
-                src,
-                u64::from(dst),
-                label,
-                env.span.flight_word(),
-            );
-            let tag = self.tag_for(env.src);
-            let re = if env.exempt { env.reply_to } else { 0 };
-            let copies = self.fate_copies(&env, &ring);
-            if copies == 0 {
-                continue;
-            }
-            let entry = TaggedEnv {
-                tag,
-                re,
-                env: Envelope { reply_to: 0, ..env },
-            };
-            let bucket = match per_dst.iter_mut().find(|(d, _)| *d == Pid(dst)) {
-                Some((_, b)) => b,
-                None => {
-                    per_dst.push((Pid(dst), Vec::new()));
-                    &mut per_dst.last_mut().expect("just pushed").1
+            let put = |t: TaggedEnv| {
+                let dst = t.env.dst;
+                match per_dst.iter_mut().find(|(d, _)| *d == dst) {
+                    Some((_, bucket)) => bucket.push(t),
+                    None => per_dst.push((dst, vec![t])),
                 }
             };
-            for _ in 0..copies {
-                bucket.push(entry.clone());
-            }
+            let signal = |crash| write(&self.pool, self.tagged(crash));
+            self.realizer.realize(self.tagged(env), &ring, put, signal);
         }
         for (dst, entries) in per_dst {
             blunt_obs::static_counter!("net.batch.frames").inc();
             blunt_obs::static_counter!("net.batch.envelopes").add(entries.len() as u64);
             blunt_obs::histogram("net.batch.envelopes_per_frame").record(entries.len() as u64);
-            self.write(dst, &Frame::EnvBatch { entries });
+            let _ = self.pool.send(dst.index(), &Frame::EnvBatch { entries });
         }
     }
 
@@ -482,14 +385,14 @@ impl Transport for NetClient {
     }
 
     fn flush(&self) {
-        // No hold-backs or delayers on client→server links.
+        self.realizer.flush(|t| write(&self.pool, t));
     }
 
     fn stats(&self) -> TransportStats {
-        self.injector.lock().expect("injector lock").stats()
+        self.realizer.stats()
     }
 
     fn coverage(&self) -> Coverage {
-        self.injector.lock().expect("injector lock").coverage()
+        self.realizer.coverage()
     }
 }

@@ -499,6 +499,17 @@ impl<'a> Cursor<'a> {
     }
 }
 
+impl From<TaggedEnv> for Frame {
+    /// The entry as a standalone [`Frame::Env`].
+    fn from(t: TaggedEnv) -> Frame {
+        Frame::Env {
+            tag: t.tag,
+            re: t.re,
+            env: t.env,
+        }
+    }
+}
+
 impl Frame {
     /// Encodes the frame as `len:u32le` + body, ready to write.
     ///

@@ -10,14 +10,15 @@
 //!   flush stragglers, read the deterministic [`TransportStats`] and
 //!   [`Coverage`]. The in-process bus (in `blunt-runtime`) and the socket
 //!   backends here both implement it.
-//! - [`fault`] / [`injector`] — the seed-determined per-link fate streams
-//!   and the shared decision core ([`Injector::decide`]) both backends use
-//!   bit for bit, so fault counters are a pure function of
+//! - [`fault`] / [`injector`] — the seed-determined per-link fate streams,
+//!   the shared decision core ([`Injector::decide`]), and the one fate
+//!   realizer ([`Realizer`]) the bus and both socket endpoints use bit for
+//!   bit, so fault counters are a pure function of
 //!   `(seed, config, topology)` regardless of transport.
 //! - [`frame`] — the length-prefixed, versioned wire format (hand-rolled,
 //!   zero dependencies).
-//! - [`conn`] / [`pool`] — TCP / Unix-domain streams, per-peer connection
-//!   pools with single-redial self-healing, and quorum broadcast fan-out.
+//! - [`conn`] / [`pool`] — TCP / Unix-domain streams and per-peer
+//!   connection pools with single-redial self-healing.
 //! - [`rpc`] — monotonic frame tags, reply-to-lane routing, and
 //!   per-connection duplicate suppression (retransmission-aware dedup).
 //! - [`client`] / [`server`] — the two socket endpoints: [`NetClient`]
@@ -33,13 +34,13 @@
 //!
 //! ## Fault semantics across backends
 //!
-//! The *decision* (which fate, which counters) is shared and
-//! seed-deterministic. The *realization* differs where the medium does:
-//! the in-process bus enqueues a `Duplicate` twice, while a socket backend
-//! writes the same tagged frame twice and the receiver's dedup window
-//! absorbs the copy — exercising the retransmission-tolerance machinery a
-//! real stack needs. Drops simply skip the write; reorders and delays are
-//! realized at the writing endpoint before frames hit the connection.
+//! The *decision* (which fate, which counters) and its *realization*
+//! (drop, duplicate, reorder hold-back, delay, crash signal) are shared:
+//! every endpoint runs the same [`Realizer`] and differs only in its sink.
+//! The effect differs where the medium does: the in-process bus enqueues a
+//! `Duplicate` twice, while a socket endpoint writes the same tagged frame
+//! twice and the receiver's dedup window absorbs the copy — exercising the
+//! retransmission-tolerance machinery a real stack needs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,7 +61,7 @@ pub use conn::{Addr, Listener, Stream};
 pub use coverage::{Coverage, LinkCoverage};
 pub use fault::{Fate, FaultConfig, FaultConfigError, FaultPlan};
 pub use frame::{Frame, FrameError, TaggedEnv, DRIVER_NODE, FRAME_VERSION, MAX_FRAME_LEN};
-pub use injector::{Injector, TransportStats};
+pub use injector::{Carried, Injector, Realizer, TransportStats};
 pub use server::{NetServer, NetServerCfg};
 pub use wire::{Envelope, Payload, SpanCtx};
 

@@ -1,4 +1,4 @@
-//! Per-peer connection pools and quorum broadcast fan-out.
+//! Per-peer connection pools.
 //!
 //! A [`ConnectionPool`] owns one lazily-dialed, mutex-guarded connection
 //! per peer. On a write error it drops the connection and redials once
@@ -7,10 +7,8 @@
 //! message, which the retransmission layer above already tolerates. Every
 //! fresh connection replays the pool's `Hello` frame and hands a reader
 //! handle to the `on_connect` callback so the owner can spawn its receive
-//! loop.
-//!
-//! [`BroadcastPool`] is the quorum-facing view: fan one logical message out
-//! to every peer, building a distinct tagged frame per destination.
+//! loop. Quorum fan-out happens above, one envelope per destination
+//! ([`Transport::broadcast`](crate::Transport::broadcast)).
 
 use std::io::Write as _;
 use std::sync::Mutex;
@@ -107,36 +105,6 @@ impl ConnectionPool {
     }
 }
 
-/// Quorum fan-out over a [`ConnectionPool`]: one distinct tagged frame per
-/// destination.
-pub struct BroadcastPool {
-    pool: ConnectionPool,
-}
-
-impl BroadcastPool {
-    /// Wraps `pool` for broadcasting.
-    #[must_use]
-    pub fn new(pool: ConnectionPool) -> BroadcastPool {
-        BroadcastPool { pool }
-    }
-
-    /// The underlying pool, for unicast sends.
-    #[must_use]
-    pub fn pool(&self) -> &ConnectionPool {
-        &self.pool
-    }
-
-    /// Sends `make(peer)`'s frame to every peer. Per-peer send failures are
-    /// swallowed (the frame is "lost"; retransmission recovers) — a quorum
-    /// protocol must not let one dead peer poison the whole round.
-    pub fn broadcast(&self, mut make: impl FnMut(usize) -> Frame) {
-        for peer in 0..self.pool.len() {
-            let frame = make(peer);
-            let _ = self.pool.send(peer, &frame);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,34 +153,5 @@ mod tests {
             Some(Frame::Hello { node: 7, t_us: 0 }),
             "reconnected stream re-announces itself"
         );
-    }
-
-    #[test]
-    fn broadcast_reaches_every_peer_with_its_own_frame() {
-        let addrs = [tmp_sock("b0.sock"), tmp_sock("b1.sock")];
-        let listeners: Vec<_> = addrs.iter().map(|a| a.listen().unwrap()).collect();
-        let pool = BroadcastPool::new(ConnectionPool::new(
-            addrs.to_vec(),
-            || Frame::Hello { node: 1, t_us: 0 },
-            |_, _| {},
-        ));
-        pool.broadcast(|peer| Frame::Hello {
-            node: peer as u32 + 100,
-            t_us: 0,
-        });
-        for (i, l) in listeners.iter().enumerate() {
-            let mut conn = l.accept().unwrap();
-            assert_eq!(
-                read_frame(&mut conn).unwrap(),
-                Some(Frame::Hello { node: 1, t_us: 0 })
-            );
-            assert_eq!(
-                read_frame(&mut conn).unwrap(),
-                Some(Frame::Hello {
-                    node: i as u32 + 100,
-                    t_us: 0
-                })
-            );
-        }
     }
 }

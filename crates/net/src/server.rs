@@ -1,13 +1,14 @@
 //! The server endpoint: one `chaos serve` process per server pid.
 //!
 //! [`NetServer`] accepts the driver's connection plus peer-server
-//! connections (recovery traffic), funnels every inbound envelope into one
-//! mailbox for the ABD server loop, and owns the **server→client** half of
-//! the fault schedule: replies consult the shared [`Injector`] and realize
-//! their fate at the socket — including `Reorder` (a per-link hold-back
-//! slot, released when the next reply on the same link overtakes it) and
-//! `Delay` (a delayer thread that writes the frame when its deadline
-//! passes), which the schedule restricts to these links.
+//! connections (recovery traffic), admits every inbound envelope — an
+//! `Env` frame as a batch of one — through the connection's dedup window
+//! into one mailbox for the ABD server loop, and owns the
+//! **server→client** half of the fault schedule: every send goes through
+//! the shared [`Realizer`], whose `Reorder` hold-backs and `Delay` thread
+//! (both drawn on these links only) are the bus's own. This endpoint's
+//! sink writes the tagged frame to the driver, or — for recovery traffic,
+//! always exempt — to the peer server.
 //!
 //! Inbound `Shutdown` raises the stop flag; the runtime then reports the
 //! server's crash/recovery/WAL stats back with [`NetServer::goodbye`].
@@ -19,16 +20,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use blunt_core::ids::Pid;
-use blunt_obs::{FlightKind, FlightRecorder};
+use blunt_obs::FlightRecorder;
 
 use crate::client::{ServerGoodbye, ServerTelemetry};
 use crate::conn::{Addr, Stream};
-use crate::fault::{Fate, FaultConfig};
-use crate::frame::{read_frame, write_frame, Frame, DRIVER_NODE};
-use crate::injector::{Injector, TransportStats};
+use crate::fault::FaultConfig;
+use crate::frame::{read_frame, write_frame, Frame, TaggedEnv, DRIVER_NODE};
+use crate::injector::{Injector, Realizer, TransportStats};
 use crate::pool::ConnectionPool;
 use crate::rpc::{DedupWindow, TagGen};
 use crate::wire::Envelope;
@@ -70,24 +70,13 @@ impl DriverSlot {
     }
 }
 
-struct DelayedFrame {
-    due: Instant,
-    frame: Frame,
-}
-
 /// The server-process transport: the driver/peer listener, the
 /// server→client fault links, and the peer pool for recovery traffic.
 pub struct NetServer {
     me: Pid,
-    servers: u32,
-    injector: Mutex<Injector>,
-    peers: ConnectionPool,
+    realizer: Realizer<TaggedEnv>,
+    out: Arc<Outbound>,
     tags: TagGen,
-    driver: Arc<DriverSlot>,
-    /// Reorder hold-back, one slot per client link (index = dst − servers).
-    holds: Vec<Mutex<Option<Frame>>>,
-    delayer: Mutex<Option<Sender<DelayedFrame>>>,
-    delayer_handle: Mutex<Option<JoinHandle<()>>>,
     /// Where the accept thread listens, as this process dials it.
     listen: Addr,
     /// The accept thread; joined on drop.
@@ -101,6 +90,46 @@ pub struct NetServer {
     /// and resets its dedup window when it lags — dedup state is volatile
     /// and must not survive the crash.
     dedup_epoch: Arc<AtomicU64>,
+}
+
+/// Where this server's frames go: the driver, or a peer server.
+struct Outbound {
+    servers: u32,
+    driver: DriverSlot,
+    peers: ConnectionPool,
+}
+
+impl Outbound {
+    /// Writes `t` as an `Env` frame to its destination. A failed write is
+    /// a lost frame; retransmission recovers.
+    fn write(&self, t: TaggedEnv) {
+        let dst = t.env.dst;
+        let frame = t.into();
+        if dst.0 < self.servers {
+            let _ = self.peers.send(dst.index(), &frame);
+        } else {
+            self.driver.write(&frame);
+        }
+    }
+}
+
+/// Admits inbound envelopes, in order, through the connection's dedup
+/// window into the mailbox. `false` once the mailbox is gone.
+fn admit(
+    dedup: &mut DedupWindow,
+    mailbox: &Sender<Envelope>,
+    entries: impl IntoIterator<Item = TaggedEnv>,
+) -> bool {
+    for e in entries {
+        if !dedup.admit(e.tag) {
+            blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
+            continue;
+        }
+        if mailbox.send(e.env.in_reply_to(e.tag)).is_err() {
+            return false;
+        }
+    }
+    true
 }
 
 /// One accepted connection: identify the peer by its `Hello`, then pump
@@ -147,26 +176,14 @@ fn conn_loop(
             blunt_obs::static_counter!("net.rpc.dedup_resets").inc();
         }
         match frame {
-            Ok(Some(Frame::Env { tag, env, .. })) => {
-                if !dedup.admit(tag) {
-                    blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
-                    continue;
-                }
-                if mailbox.send(env.in_reply_to(tag)).is_err() {
+            Ok(Some(Frame::Env { tag, re, env })) => {
+                if !admit(&mut dedup, mailbox, [TaggedEnv { tag, re, env }]) {
                     return;
                 }
             }
             Ok(Some(Frame::EnvBatch { entries })) => {
-                // Unpack in order: each entry is handled exactly as if it
-                // had arrived as its own `Env` frame.
-                for e in entries {
-                    if !dedup.admit(e.tag) {
-                        blunt_obs::static_counter!("net.rpc.dedup_drops").inc();
-                        continue;
-                    }
-                    if mailbox.send(e.env.in_reply_to(e.tag)).is_err() {
-                        return;
-                    }
+                if !admit(&mut dedup, mailbox, entries) {
+                    return;
                 }
             }
             Ok(Some(Frame::Shutdown)) => {
@@ -214,36 +231,7 @@ impl NetServer {
         let listener = cfg.listen.listen()?;
         let listen = listener.local_addr()?;
         let (mailbox_tx, mailbox_rx) = mpsc::channel();
-        let driver = Arc::new(DriverSlot(Mutex::new(None)));
-        let stop = Arc::new(AtomicBool::new(false));
-        let dedup_epoch = Arc::new(AtomicU64::new(0));
         let me = cfg.me;
-        let closing = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let closing = Arc::clone(&closing);
-            let driver = Arc::clone(&driver);
-            let stop = Arc::clone(&stop);
-            let flight = Arc::clone(&flight);
-            let dedup_epoch = Arc::clone(&dedup_epoch);
-            // Returning drops (closes) the listener.
-            std::thread::spawn(move || loop {
-                let Ok(stream) = listener.accept() else {
-                    return;
-                };
-                if closing.load(Ordering::SeqCst) {
-                    // Woken by the drop's self-connect.
-                    return;
-                }
-                let mailbox = mailbox_tx.clone();
-                let driver = Arc::clone(&driver);
-                let stop = Arc::clone(&stop);
-                let flight = Arc::clone(&flight);
-                let dedup_epoch = Arc::clone(&dedup_epoch);
-                std::thread::spawn(move || {
-                    conn_loop(me, &flight, stream, &mailbox, &driver, &stop, &dedup_epoch)
-                });
-            })
-        };
         let peers = ConnectionPool::new(
             cfg.peers.clone(),
             // Peer hellos carry no clock sample — only the driver estimates
@@ -257,16 +245,53 @@ impl NetServer {
             // back (its own pool), so the read half idles until EOF.
             |_, _| {},
         );
+        let out = Arc::new(Outbound {
+            servers: cfg.servers,
+            driver: DriverSlot(Mutex::new(None)),
+            peers,
+        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let dedup_epoch = Arc::new(AtomicU64::new(0));
+        let closing = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let closing = Arc::clone(&closing);
+            let out = Arc::clone(&out);
+            let stop = Arc::clone(&stop);
+            let flight = Arc::clone(&flight);
+            let dedup_epoch = Arc::clone(&dedup_epoch);
+            // Returning drops (closes) the listener.
+            std::thread::spawn(move || loop {
+                let Ok(stream) = listener.accept() else {
+                    return;
+                };
+                if closing.load(Ordering::SeqCst) {
+                    // Woken by the drop's self-connect.
+                    return;
+                }
+                let mailbox = mailbox_tx.clone();
+                let out = Arc::clone(&out);
+                let stop = Arc::clone(&stop);
+                let flight = Arc::clone(&flight);
+                let dedup_epoch = Arc::clone(&dedup_epoch);
+                std::thread::spawn(move || {
+                    conn_loop(
+                        me,
+                        &flight,
+                        stream,
+                        &mailbox,
+                        &out.driver,
+                        &stop,
+                        &dedup_epoch,
+                    )
+                });
+            })
+        };
+        let late = Arc::clone(&out);
         let server = Arc::new(NetServer {
             me,
-            servers: cfg.servers,
-            injector: Mutex::new(injector),
-            peers,
+            realizer: Realizer::new(injector, move |t| late.write(t)),
+            out,
             tags: TagGen::new(),
-            driver,
-            holds: (0..cfg.clients).map(|_| Mutex::new(None)).collect(),
-            delayer: Mutex::new(None),
-            delayer_handle: Mutex::new(None),
             listen,
             acceptor: Some(acceptor),
             closing,
@@ -274,47 +299,7 @@ impl NetServer {
             flight,
             dedup_epoch,
         });
-        server.spawn_delayer();
         Ok((server, mailbox_rx))
-    }
-
-    /// The delayer thread: frames held by `Fate::Delay`, written to the
-    /// driver once due. Dropping the sender flushes the rest and exits.
-    fn spawn_delayer(&self) {
-        let (tx, rx) = mpsc::channel::<DelayedFrame>();
-        let driver = Arc::clone(&self.driver);
-        let handle = std::thread::spawn(move || {
-            let mut pending: Vec<DelayedFrame> = Vec::new();
-            loop {
-                let timeout = pending
-                    .iter()
-                    .map(|d| d.due.saturating_duration_since(Instant::now()))
-                    .min()
-                    .unwrap_or(Duration::from_millis(50));
-                match rx.recv_timeout(timeout) {
-                    Ok(d) => pending.push(d),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        for d in pending.drain(..) {
-                            driver.write(&d.frame);
-                        }
-                        return;
-                    }
-                }
-                let now = Instant::now();
-                let mut i = 0;
-                while i < pending.len() {
-                    if pending[i].due <= now {
-                        let d = pending.swap_remove(i);
-                        driver.write(&d.frame);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        });
-        *self.delayer.lock().expect("delayer lock") = Some(tx);
-        *self.delayer_handle.lock().expect("delayer handle lock") = Some(handle);
     }
 
     /// The stop flag raised by an inbound `Shutdown` frame; the runtime's
@@ -328,7 +313,7 @@ impl NetServer {
     /// if the driver connection is down the snapshot is lost and the next
     /// periodic tick resends fresher numbers.
     pub fn telemetry(&self, t: ServerTelemetry) {
-        self.driver.write(&Frame::Telemetry {
+        self.out.driver.write(&Frame::Telemetry {
             node: self.me.0,
             recoveries: t.recoveries,
             crashes: t.crashes,
@@ -342,7 +327,7 @@ impl NetServer {
     /// Reports this server's parting stats to the driver, piggybacking a
     /// bounded flight dump (JSONL; empty string = no dump).
     pub fn goodbye(&self, g: ServerGoodbye, dump: String) {
-        self.driver.write(&Frame::Goodbye {
+        self.out.driver.write(&Frame::Goodbye {
             node: self.me.0,
             crashes: g.crashes,
             recoveries: g.recoveries,
@@ -352,85 +337,23 @@ impl NetServer {
             dump,
         });
     }
+
+    /// `env` as a frame entry under a fresh tag, answering `env.reply_to`.
+    fn tagged(&self, env: Envelope) -> TaggedEnv {
+        TaggedEnv {
+            tag: self.tags.next(),
+            re: env.reply_to,
+            env: Envelope { reply_to: 0, ..env },
+        }
+    }
 }
 
 impl Transport for NetServer {
     fn send(&self, env: Envelope) {
-        let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        let ring = self.flight.thread_ring();
-        ring.record_span(
-            FlightKind::BusSend,
-            src,
-            u64::from(dst),
-            label,
-            env.span.flight_word(),
-        );
-        let re = env.reply_to;
-        let frame = Frame::Env {
-            tag: self.tags.next(),
-            re,
-            env: Envelope { reply_to: 0, ..env },
-        };
-        if dst < self.servers {
-            // Peer traffic is recovery (always exempt): straight to the
-            // peer's listener, no fault schedule.
-            let _ = self.peers.send(dst as usize, &frame);
-            return;
-        }
-        if let Frame::Env { env, .. } = &frame {
-            if env.exempt {
-                self.driver.write(&frame);
-                return;
-            }
-        }
-        let (fate, _signal) = {
-            let mut inj = self.injector.lock().expect("injector lock");
-            inj.decide(Pid(src), Pid(dst))
-        };
-        match fate {
-            Fate::Deliver => {}
-            Fate::Drop => ring.record(FlightKind::FaultDrop, src, u64::from(dst), label),
-            Fate::Duplicate => ring.record(FlightKind::FaultDuplicate, src, u64::from(dst), label),
-            Fate::Reorder => ring.record(FlightKind::FaultReorder, src, u64::from(dst), label),
-            Fate::Delay(ms) => {
-                ring.record(FlightKind::FaultDelay, src, u64::from(dst), u64::from(ms));
-            }
-            Fate::CrashDrop { window } => {
-                ring.record(FlightKind::FaultCrashDrop, src, u64::from(dst), window);
-            }
-            Fate::PartitionDrop { window } => {
-                ring.record(FlightKind::FaultPartitionDrop, src, u64::from(dst), window);
-            }
-        }
-        let slot = (dst - self.servers) as usize;
-        match fate {
-            Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. } => {}
-            Fate::Reorder => {
-                let displaced = self.holds[slot].lock().expect("hold lock").replace(frame);
-                if let Some(p) = displaced {
-                    self.driver.write(&p);
-                }
-            }
-            Fate::Deliver | Fate::Duplicate => {
-                self.driver.write(&frame);
-                if fate == Fate::Duplicate {
-                    // Same tag twice; the driver's dedup window absorbs it.
-                    self.driver.write(&frame);
-                }
-                let held = self.holds[slot].lock().expect("hold lock").take();
-                if let Some(h) = held {
-                    // The held frame is overtaken: written after.
-                    self.driver.write(&h);
-                }
-            }
-            Fate::Delay(ms) => {
-                let due = Instant::now() + Duration::from_millis(u64::from(ms));
-                let guard = self.delayer.lock().expect("delayer lock");
-                if let Some(tx) = guard.as_ref() {
-                    let _ = tx.send(DelayedFrame { due, frame });
-                }
-            }
-        }
+        let put = |t| self.out.write(t);
+        let signal = |crash| self.out.write(self.tagged(crash));
+        self.realizer
+            .realize(self.tagged(env), &self.flight.thread_ring(), put, signal);
     }
 
     fn on_crash(&self) {
@@ -441,30 +364,14 @@ impl Transport for NetServer {
     }
 
     fn flush(&self) {
-        let held: Vec<Frame> = self
-            .holds
-            .iter()
-            .filter_map(|h| h.lock().expect("hold lock").take())
-            .collect();
-        for frame in held {
-            self.driver.write(&frame);
-        }
-        *self.delayer.lock().expect("delayer lock") = None;
-        if let Some(h) = self
-            .delayer_handle
-            .lock()
-            .expect("delayer handle lock")
-            .take()
-        {
-            let _ = h.join();
-        }
+        self.realizer.flush(|t| self.out.write(t));
     }
 
     fn stats(&self) -> TransportStats {
-        self.injector.lock().expect("injector lock").stats()
+        self.realizer.stats()
     }
 
     fn coverage(&self) -> Coverage {
-        self.injector.lock().expect("injector lock").coverage()
+        self.realizer.coverage()
     }
 }

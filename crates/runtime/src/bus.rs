@@ -1,18 +1,18 @@
-//! The in-process message bus: per-node mpsc queues plus the fault
-//! injector.
+//! The in-process message bus: per-mailbox mpsc queues behind the shared
+//! fault realizer.
 //!
-//! Every node (server or client thread) owns one `mpsc::Receiver<Envelope>`;
-//! the bus holds the matching senders. A send first consults the shared
-//! fault-decision core ([`blunt_net::Injector`] — the same one the socket
-//! transports use, so fault counters are a pure function of the seed
-//! regardless of backend), then realizes the fate:
+//! Every receiving thread owns one `mpsc::Receiver<Envelope>`; the bus
+//! holds the matching senders. A send hands the envelope to
+//! [`blunt_net::Realizer`] — the same fate realizer the socket endpoints
+//! use, so fault counters are a pure function of the seed regardless of
+//! backend — whose only bus-specific part is the sink, an enqueue:
 //!
 //! - `Drop`/`CrashDrop`/`PartitionDrop` — the envelope vanishes;
 //! - `Duplicate` — enqueued twice back to back;
 //! - `Reorder` — held in the link until the next message on the same link
-//!   overtakes it (flushed by [`Bus::flush`] if none ever comes);
-//! - `Delay(ms)` — handed to a dedicated delayer thread that sleeps until
-//!   the deadline and then enqueues it.
+//!   overtakes it (released by [`Bus::flush`] if none ever comes);
+//! - `Delay(ms)` — handed to the realizer's delayer thread (started on the
+//!   first `Delay` fate), which enqueues it once the deadline passes.
 //!
 //! **Crash events.** When constructed with `signal_crashes`, a crash
 //! blackout window additionally raises an *amnesia signal* at its **exit**:
@@ -32,7 +32,7 @@
 //! separated by at least one non-window index (`validate` guarantees
 //! `crash_len < crash_period`), so a link that keeps sending always
 //! resolves the pending window before entering the next. Hence
-//! `BusStats::crash_events` is replayable exactly.
+//! `TransportStats::crash_events` is replayable exactly.
 //!
 //! **Shared mailboxes.** A mailbox belongs to a receiving *thread*, not to
 //! a pid: [`Bus::with_mailboxes`] maps each pid to a mailbox, so every
@@ -44,54 +44,30 @@
 //! linearizable, which is what makes the per-link message indexing of
 //! [`blunt_net::fault::FaultPlan`] well defined.
 
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 
-use blunt_abd::msg::AbdMsg;
-use blunt_core::ids::Pid;
-use blunt_net::injector::Injector;
-use blunt_net::{Fate, FaultConfig, FaultConfigError, Transport};
-use blunt_obs::{FlightKind, FlightRecorder};
-
-use crate::coverage::Coverage;
+use blunt_net::{
+    Coverage, Fate, FaultConfig, FaultConfigError, Injector, Realizer, Transport, TransportStats,
+};
+use blunt_obs::FlightRecorder;
 
 pub use blunt_net::wire::{Envelope, Payload, SpanCtx};
 
-/// Deterministic fault counters accumulated by a run; equal across runs
-/// with the same seed and configuration. (The transport-agnostic name is
-/// [`blunt_net::TransportStats`]; this alias keeps the original in-process
-/// spelling.)
-pub type BusStats = blunt_net::TransportStats;
-
-struct DelayedMsg {
-    due: Instant,
-    env: Envelope,
-}
-
-/// Per-link mutable state: the fate stream lives in the shared injector;
-/// this holds the reorder hold-back slot.
-struct LinkHold {
-    held: Option<Envelope>,
-}
-
-struct BusInner {
-    injector: Injector,
-    holds: Vec<LinkHold>,
+/// Enqueues `env` into its destination's mailbox. A closed mailbox means
+/// the receiver already shut down; late messages to it are irrelevant.
+fn enqueue(mailboxes: &[Sender<Envelope>], env: Envelope) {
+    let _ = mailboxes[env.dst.index()].send(env);
 }
 
 /// The bus proper. Cloneable handles are not needed — threads share it via
 /// `Arc<Bus>`.
 pub struct Bus {
-    nodes: u32,
     flight: Arc<FlightRecorder>,
     /// The sending half of each pid's mailbox (index = pid); pids that
     /// share a mailbox hold clones of one sender.
-    mailboxes: Vec<Sender<Envelope>>,
-    inner: Mutex<BusInner>,
-    delayer: Mutex<Option<Sender<DelayedMsg>>>,
-    delayer_handle: Mutex<Option<JoinHandle<()>>>,
+    mailboxes: Arc<[Sender<Envelope>]>,
+    realizer: Realizer<Envelope>,
 }
 
 impl Bus {
@@ -147,211 +123,46 @@ impl Bus {
         for m in 0..count {
             assert!(mailbox_of.contains(&m), "mailbox {m} has no pid");
         }
+        let mailboxes: Arc<[Sender<Envelope>]> =
+            mailbox_of.iter().map(|&m| senders[m].clone()).collect();
+        let late = Arc::clone(&mailboxes);
         let bus = Bus {
-            nodes,
             flight,
-            mailboxes: mailbox_of.iter().map(|&m| senders[m].clone()).collect(),
-            inner: Mutex::new(BusInner {
-                injector,
-                holds: (0..nodes * nodes)
-                    .map(|_| LinkHold { held: None })
-                    .collect(),
-            }),
-            delayer: Mutex::new(None),
-            delayer_handle: Mutex::new(None),
+            mailboxes,
+            realizer: Realizer::new(injector, move |env| enqueue(&late, env)),
         };
-        bus.spawn_delayer();
         Ok((bus, receivers))
-    }
-
-    /// The delayer thread: a min-deadline buffer fed by `Fate::Delay`
-    /// messages, drained on deadline. Dropping the sender shuts it down
-    /// (remaining messages are flushed immediately).
-    fn spawn_delayer(&self) {
-        let (tx, rx) = mpsc::channel::<DelayedMsg>();
-        let mailboxes = self.mailboxes.clone();
-        let handle = std::thread::spawn(move || {
-            let mut pending: Vec<DelayedMsg> = Vec::new();
-            loop {
-                let timeout = pending
-                    .iter()
-                    .map(|d| d.due.saturating_duration_since(Instant::now()))
-                    .min()
-                    .unwrap_or(Duration::from_millis(50));
-                match rx.recv_timeout(timeout) {
-                    Ok(d) => pending.push(d),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        for d in pending.drain(..) {
-                            let _ = mailboxes[d.env.dst.index()].send(d.env);
-                        }
-                        return;
-                    }
-                }
-                let now = Instant::now();
-                let mut i = 0;
-                while i < pending.len() {
-                    if pending[i].due <= now {
-                        let d = pending.swap_remove(i);
-                        let _ = mailboxes[d.env.dst.index()].send(d.env);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-        });
-        *self.delayer.lock().unwrap() = Some(tx);
-        *self.delayer_handle.lock().unwrap() = Some(handle);
-    }
-
-    fn enqueue(&self, env: Envelope) {
-        // A closed mailbox means the receiver already shut down; late
-        // messages to it are irrelevant.
-        let _ = self.mailboxes[env.dst.index()].send(env);
     }
 
     /// Sends `env`, applying the fault schedule to non-exempt envelopes.
     pub fn send(&self, env: Envelope) {
-        let (src, dst, label) = (env.src.0, env.dst.0, env.msg.flight_label());
-        let ring = self.flight.thread_ring();
-        ring.record(FlightKind::BusSend, src, u64::from(dst), label);
-        if env.exempt {
-            self.enqueue(env);
-            return;
-        }
-        /// What must happen once the lock is released.
-        enum Outcome {
-            Lost,
-            Deliver {
-                env: Envelope,
-                dup: bool,
-                /// A previously reorder-held message now overtaken.
-                released: Option<Envelope>,
-            },
-            Hold {
-                /// Displaced by the newly held message (two reorders in a
-                /// row: the first is released by the second taking its
-                /// place).
-                released: Option<Envelope>,
-            },
-            Delay {
-                env: Envelope,
-                ms: u16,
-            },
-        }
-        let (signal, fate, outcome) = {
-            let mut inner = self.inner.lock().unwrap();
-            // The shared fault-decision core: fate, stats, coverage, and
-            // crash-window bookkeeping, all under this one lock.
-            let (fate, signal) = inner.injector.decide(env.src, env.dst);
-            let slot = (env.src.0 * self.nodes + env.dst.0) as usize;
-            let outcome = match fate {
-                Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. } => Outcome::Lost,
-                Fate::Reorder => Outcome::Hold {
-                    released: inner.holds[slot].held.replace(env),
-                },
-                Fate::Deliver | Fate::Duplicate => Outcome::Deliver {
-                    env,
-                    dup: fate == Fate::Duplicate,
-                    released: inner.holds[slot].held.take(),
-                },
-                Fate::Delay(ms) => Outcome::Delay { env, ms },
-            };
-            (signal, fate, outcome)
-        };
-        // The fault decision, on the sender's ring (outside the lock; the
-        // event words were captured before `env` moved into the outcome).
+        let put = |env| enqueue(&self.mailboxes, env);
+        let fate = self
+            .realizer
+            .realize(env, &self.flight.thread_ring(), put, put);
         match fate {
-            Fate::Deliver => {}
-            Fate::Drop => ring.record(FlightKind::FaultDrop, src, u64::from(dst), label),
-            Fate::Duplicate => ring.record(FlightKind::FaultDuplicate, src, u64::from(dst), label),
-            Fate::Reorder => ring.record(FlightKind::FaultReorder, src, u64::from(dst), label),
-            Fate::Delay(ms) => {
-                ring.record(FlightKind::FaultDelay, src, u64::from(dst), u64::from(ms));
-            }
-            Fate::CrashDrop { window } => {
-                ring.record(FlightKind::FaultCrashDrop, src, u64::from(dst), window);
-            }
-            Fate::PartitionDrop { window } => {
-                ring.record(FlightKind::FaultPartitionDrop, src, u64::from(dst), window);
-            }
-        }
-        if let Some((dst, window)) = signal {
-            // Before the triggering message: the server must crash and
-            // recover before serving any post-window traffic.
-            self.enqueue(Envelope {
-                src: dst,
-                dst,
-                msg: Payload::Crash { window },
-                exempt: true,
-                reply_to: 0,
-                span: SpanCtx::NONE,
-            });
-        }
-        match outcome {
-            Outcome::Lost => {
+            None => {}
+            Some(Fate::Drop | Fate::CrashDrop { .. } | Fate::PartitionDrop { .. }) => {
                 blunt_obs::static_counter!("runtime.bus.lost").inc();
             }
-            Outcome::Hold { released } => {
-                if let Some(p) = released {
-                    self.enqueue(p);
-                }
-                blunt_obs::static_counter!("runtime.bus.reordered").inc();
-            }
-            Outcome::Deliver { env, dup, released } => {
-                self.enqueue(env.clone());
-                if dup {
-                    self.enqueue(env);
-                }
-                if let Some(h) = released {
-                    // The held message is overtaken: deliver after.
-                    self.enqueue(h);
-                }
+            Some(Fate::Reorder) => blunt_obs::static_counter!("runtime.bus.reordered").inc(),
+            Some(Fate::Deliver | Fate::Duplicate) => {
                 blunt_obs::static_counter!("runtime.bus.delivered").inc();
             }
-            Outcome::Delay { env, ms } => {
-                blunt_obs::static_counter!("runtime.bus.delayed").inc();
-                let due = Instant::now() + Duration::from_millis(u64::from(ms));
-                let guard = self.delayer.lock().unwrap();
-                if let Some(tx) = guard.as_ref() {
-                    let _ = tx.send(DelayedMsg { due, env });
-                }
-            }
-        }
-    }
-
-    /// Broadcasts the ABD message `msg` from `src` to every pid in `dsts`.
-    pub fn broadcast(&self, src: Pid, dsts: impl Iterator<Item = Pid>, msg: &AbdMsg, exempt: bool) {
-        for dst in dsts {
-            self.send(Envelope::abd(src, dst, msg.clone(), exempt));
+            Some(Fate::Delay(_)) => blunt_obs::static_counter!("runtime.bus.delayed").inc(),
         }
     }
 
     /// Releases every reorder hold-back (end of run: nothing will overtake
     /// them anymore) and flushes the delayer.
     pub fn flush(&self) {
-        let held: Vec<Envelope> = {
-            let mut inner = self.inner.lock().unwrap();
-            inner
-                .holds
-                .iter_mut()
-                .filter_map(|h| h.held.take())
-                .collect()
-        };
-        for env in held {
-            self.enqueue(env);
-        }
-        // Dropping the delayer sender makes the thread flush and exit.
-        *self.delayer.lock().unwrap() = None;
-        if let Some(h) = self.delayer_handle.lock().unwrap().take() {
-            let _ = h.join();
-        }
+        self.realizer.flush(|env| enqueue(&self.mailboxes, env));
     }
 
     /// The deterministic fault counters so far.
     #[must_use]
-    pub fn stats(&self) -> BusStats {
-        self.inner.lock().unwrap().injector.stats()
+    pub fn stats(&self) -> TransportStats {
+        self.realizer.stats()
     }
 
     /// The fault-schedule coverage so far: per-link fate tallies (links
@@ -359,7 +170,7 @@ impl Bus {
     /// for a seed, like [`Bus::stats`].
     #[must_use]
     pub fn coverage(&self) -> Coverage {
-        self.inner.lock().unwrap().injector.coverage()
+        self.realizer.coverage()
     }
 }
 
@@ -372,7 +183,7 @@ impl Transport for Bus {
         Bus::flush(self);
     }
 
-    fn stats(&self) -> BusStats {
+    fn stats(&self) -> TransportStats {
         Bus::stats(self)
     }
 
@@ -384,7 +195,9 @@ impl Transport for Bus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blunt_core::ids::ObjId;
+    use blunt_abd::msg::AbdMsg;
+    use blunt_core::ids::{ObjId, Pid};
+    use std::time::Duration;
 
     fn q(sn: u32) -> AbdMsg {
         AbdMsg::Query { obj: ObjId(0), sn }
@@ -519,7 +332,7 @@ mod tests {
         assert_eq!(c, d);
         assert!(c.crash_events > 0);
         assert_eq!(
-            BusStats {
+            TransportStats {
                 crash_events: 0,
                 ..c
             },

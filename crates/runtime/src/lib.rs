@@ -7,7 +7,7 @@
 //! ABD server machines (`blunt_abd`) and shared-memory register
 //! constructions (`blunt_registers`) execute on threads connected by a
 //! swappable [`blunt_net::Transport`] — the in-process message [`bus`] or
-//! the socket tier in `blunt_net` — whose [`fault`] injector — drop, delay,
+//! the socket tier in `blunt_net` — whose fault injector — drop, delay,
 //! duplicate, reorder, partition, crash — follows a schedule that is a pure
 //! function of the run seed, so any run is replayable. Replicas run on
 //! replica [`host`] threads. Crashes are more than blackouts: under
@@ -41,15 +41,11 @@ pub mod recovery;
 pub mod shm;
 pub mod storage;
 
-// The fault schedule and coverage report moved to the transport tier
-// (`blunt-net`) so socket backends share them; these module re-exports keep
-// the original `blunt_runtime::fault` / `blunt_runtime::coverage` paths.
-pub use blunt_net::{coverage, fault};
-
-pub use blunt_net::{Addr, RemoteServer, ServerTelemetry};
-pub use bus::{Bus, BusStats, Envelope, Payload};
-pub use coverage::{Coverage, LinkCoverage};
-pub use fault::{Fate, FaultConfig, FaultConfigError, FaultPlan};
+pub use blunt_net::{
+    Addr, Coverage, Fate, FaultConfig, FaultConfigError, FaultPlan, LinkCoverage, RemoteServer,
+    ServerTelemetry,
+};
+pub use bus::{Bus, Envelope, Payload};
 pub use host::{host_loop, HostedReplica};
 pub use monitor::{MonitorReport, OnlineMonitor, Violation};
 pub use netrun::{run_net_server, NetServeConfig, NetServeReport};

@@ -31,11 +31,13 @@ use std::thread;
 use std::time::Duration;
 
 use blunt_core::ids::Pid;
-use blunt_net::{Addr, NetServer, NetServerCfg, ServerGoodbye, ServerTelemetry, Transport};
+use blunt_net::{
+    Addr, Coverage, FaultConfig, NetServer, NetServerCfg, ServerGoodbye, ServerTelemetry,
+    Transport, TransportStats,
+};
 use blunt_obs::flight::{FlightDump, SPAN_NONE};
 use blunt_obs::{FlightKind, FlightRecorder, QuantileSketch};
 
-use crate::fault::FaultConfig;
 use crate::host::{host_loop, HostedReplica};
 use crate::recovery::{RecoveryMode, RecoverySink, RecoveryStats};
 
@@ -139,9 +141,9 @@ impl FlightAggregator {
 #[derive(Debug)]
 pub struct NetServeReport {
     /// Deterministic fault counters for this server's outbound links.
-    pub stats: crate::bus::BusStats,
+    pub stats: TransportStats,
     /// Fault-pattern coverage of those links.
-    pub coverage: crate::coverage::Coverage,
+    pub coverage: Coverage,
     /// This server's crash-recovery counters (also sent to the driver in
     /// the `Goodbye` frame).
     pub recovery: RecoveryStats,

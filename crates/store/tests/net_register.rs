@@ -8,12 +8,14 @@
 //! The run must complete ≥ 10k operations under the full fault mix with
 //! amnesia crashes, report zero linearizability violations, and show at
 //! least one server crash *and recovery* mid-run — i.e. the WAL + peer
-//! catch-up machinery works when peers are sockets, not mailboxes.
+//! catch-up machinery works when peers are sockets, not mailboxes. The
+//! same configuration run in process must face the same client→server
+//! fault schedule: both tiers realize fates through one realizer.
 
 use std::thread;
 
 use blunt_runtime::{run_net_server, Addr, NetServeConfig, NetServeReport, RecoveryMode};
-use blunt_store::{run_store_net, StoreConfig};
+use blunt_store::{run_store, run_store_net, StoreConfig};
 
 fn uds_addrs(tag: &str, n: u32) -> Vec<Addr> {
     let dir = std::env::temp_dir().join(format!("blunt-net-chaos-{tag}-{}", std::process::id()));
@@ -113,6 +115,27 @@ fn three_uds_servers_10k_ops_zero_violations_with_recovery() {
             "merged dump has no span-attributed events from process {proc}"
         );
     }
+
+    // Cross-tier: the in-process run of the same configuration draws the
+    // same client→server fates and signals the same crash events. Only
+    // client→server links compare — server→client links differ by design
+    // (in process a duplicated request is served twice; on a socket the
+    // dedup window drops the copy, so fewer replies are offered).
+    let inproc = run_store(&cfg).expect("valid fault config");
+    let servers = cfg.servers_total();
+    let client_to_server: Vec<_> = inproc
+        .coverage
+        .links
+        .iter()
+        .filter(|l| l.src >= servers && l.dst < servers)
+        .cloned()
+        .collect();
+    assert!(!client_to_server.is_empty());
+    assert_eq!(
+        report.coverage.links, client_to_server,
+        "socket and in-process client→server coverage differ"
+    );
+    assert_eq!(report.stats.crash_events, inproc.stats.crash_events);
 }
 
 #[test]
