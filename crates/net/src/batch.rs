@@ -1,14 +1,18 @@
 //! Flush-scoped envelope batching over any [`Transport`].
 //!
-//! A [`BatchingTransport`] sits between one pipelined client and the shared
-//! transport. Protocol sends accumulate in a buffer — in send order — and
-//! are handed to the inner transport as one [`Transport::send_batch`] call
-//! when the buffer reaches `batch_max`, when the client is about to block
-//! on its mailbox (nothing more is coming until replies arrive), or at an
-//! explicit flush. Over the socket tier the inner `send_batch` packs each
-//! destination's surviving envelopes into a single `EnvBatch` frame,
-//! amortizing framing and syscalls across a quorum round's fan-out; over
-//! the in-process bus it degenerates to the plain send loop.
+//! A [`BatchingTransport`] sits between one sender and the shared
+//! transport. Sends accumulate in a buffer — in send order — and are handed
+//! to the inner transport as one [`Transport::send_batch`] call when the
+//! buffer reaches `batch_max`, when the sender is about to block (nothing
+//! more is coming until replies arrive), or at an explicit flush. Both
+//! ends of a quorum round use it: each pipelined client of the store
+//! ([`BatchingTransport::new`]) and each replica on a replica host
+//! ([`BatchingTransport::hosted`]). Over the socket tier the inner
+//! `send_batch` packs each destination's surviving envelopes into a single
+//! `EnvBatch` frame, amortizing framing and syscalls across a quorum
+//! round's fan-out (client side) or across the replies of one idle period
+//! (server side); over the in-process bus it degenerates to the plain send
+//! loop.
 //!
 //! **Batching is transport amortization only.** `send_batch`'s contract
 //! (see [`Transport`]) draws fault fates per logical envelope in buffer
@@ -16,39 +20,76 @@
 //! seed-determined schedule, stats, and coverage are identical at any
 //! `batch_max`, and `batch_max = 1` is *operationally* identical to no
 //! wrapper at all (each send flushes immediately as a batch of one).
+//!
+//! Flushes are counted per end: a client's under `store.batch.*` (with the
+//! `store.batch.envelopes_per_flush` histogram), a hosted replica's under
+//! `runtime.host.batch.*`.
 
 use std::sync::Mutex;
 
 use blunt_core::ids::Pid;
-use blunt_net::{Coverage, Envelope, Transport, TransportStats};
 
-/// A per-client batching layer over a shared [`Transport`].
+use crate::{Coverage, Envelope, Transport, TransportStats};
+
+/// Which end of a quorum round a [`BatchingTransport`] buffers for — it
+/// picks the counters a flush feeds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Site {
+    Client,
+    Host,
+}
+
+/// A per-sender batching layer over a shared [`Transport`].
 pub struct BatchingTransport<'a> {
     inner: &'a dyn Transport,
     batch_max: usize,
+    site: Site,
     buf: Mutex<Vec<Envelope>>,
 }
 
 impl<'a> BatchingTransport<'a> {
-    /// Wraps `inner`, flushing whenever `batch_max` envelopes accumulate
-    /// (`batch_max = 1` ⇒ pass-through).
+    /// Wraps `inner` for one store client, flushing whenever `batch_max`
+    /// envelopes accumulate (`batch_max = 1` ⇒ pass-through).
     ///
     /// # Panics
     ///
     /// Panics if `batch_max == 0`.
     #[must_use]
     pub fn new(inner: &'a dyn Transport, batch_max: usize) -> BatchingTransport<'a> {
+        BatchingTransport::at(inner, batch_max, Site::Client)
+    }
+
+    /// Wraps `inner` for one replica on a replica host; like
+    /// [`BatchingTransport::new`], but its flushes count as
+    /// `runtime.host.batch.*`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch_max == 0`.
+    #[must_use]
+    pub fn hosted(inner: &'a dyn Transport, batch_max: usize) -> BatchingTransport<'a> {
+        BatchingTransport::at(inner, batch_max, Site::Host)
+    }
+
+    fn at(inner: &'a dyn Transport, batch_max: usize, site: Site) -> BatchingTransport<'a> {
         assert!(batch_max >= 1, "a batch holds at least one envelope");
         BatchingTransport {
             inner,
             batch_max,
+            site,
             buf: Mutex::new(Vec::with_capacity(batch_max)),
         }
     }
 
+    /// Whether nothing is buffered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.buf.lock().expect("batch buffer lock").is_empty()
+    }
+
     /// Hands any buffered envelopes to the inner transport as one batch.
-    /// Call before blocking on the mailbox: the replies being waited on
-    /// cannot arrive until the requests actually leave.
+    /// Call before blocking: the replies being waited on cannot arrive
+    /// until the requests actually leave.
     pub fn flush_pending(&self) {
         let batch = {
             let mut buf = self.buf.lock().expect("batch buffer lock");
@@ -57,9 +98,18 @@ impl<'a> BatchingTransport<'a> {
             }
             std::mem::take(&mut *buf)
         };
-        blunt_obs::static_counter!("store.batch.flushes").inc();
-        blunt_obs::static_counter!("store.batch.envelopes").add(batch.len() as u64);
-        blunt_obs::histogram("store.batch.envelopes_per_flush").record(batch.len() as u64);
+        let n = batch.len() as u64;
+        match self.site {
+            Site::Client => {
+                blunt_obs::static_counter!("store.batch.flushes").inc();
+                blunt_obs::static_counter!("store.batch.envelopes").add(n);
+                blunt_obs::static_histogram!("store.batch.envelopes_per_flush").record(n);
+            }
+            Site::Host => {
+                blunt_obs::static_counter!("runtime.host.batch.flushes").inc();
+                blunt_obs::static_counter!("runtime.host.batch.envelopes").add(n);
+            }
+        }
         self.inner.send_batch(batch);
     }
 
@@ -94,6 +144,12 @@ impl Transport for BatchingTransport<'_> {
         self.inner.on_op_start(client);
     }
 
+    fn on_crash(&self) {
+        // What was sent before the crash leaves before it.
+        self.flush_pending();
+        self.inner.on_crash();
+    }
+
     fn flush(&self) {
         self.flush_pending();
         self.inner.flush();
@@ -118,6 +174,7 @@ mod tests {
     struct Probe {
         batches: Mutex<Vec<usize>>,
         op_starts: AtomicUsize,
+        crashes: AtomicUsize,
         flushes: AtomicUsize,
     }
 
@@ -134,6 +191,10 @@ mod tests {
 
         fn on_op_start(&self, _client: Pid) {
             self.op_starts.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn on_crash(&self) {
+            self.crashes.fetch_add(1, Ordering::Relaxed);
         }
 
         fn flush(&self) {
@@ -175,7 +236,9 @@ mod tests {
             vec![3, 3],
             "two full batches"
         );
+        assert!(!bt.is_empty());
         bt.flush_pending();
+        assert!(bt.is_empty());
         assert_eq!(
             *probe.batches.lock().unwrap(),
             vec![3, 3, 1],
@@ -200,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn op_start_and_flush_drain_the_buffer_first() {
+    fn op_start_crash_and_flush_drain_the_buffer_first() {
         let probe = Probe::default();
         let bt = BatchingTransport::new(&probe, 100);
         bt.send(env(0));
@@ -209,9 +272,35 @@ mod tests {
         assert_eq!(*probe.batches.lock().unwrap(), vec![2]);
         assert_eq!(probe.op_starts.load(Ordering::Relaxed), 1);
         bt.send(env(2));
-        bt.flush();
+        bt.on_crash();
         assert_eq!(*probe.batches.lock().unwrap(), vec![2, 1]);
+        assert_eq!(probe.crashes.load(Ordering::Relaxed), 1);
+        bt.send(env(3));
+        bt.flush();
+        assert_eq!(*probe.batches.lock().unwrap(), vec![2, 1, 1]);
         assert_eq!(probe.flushes.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn client_and_host_flushes_feed_their_own_counters() {
+        let probe = Probe::default();
+        let flushes = |name| blunt_obs::snapshot().counter(name).unwrap_or(0);
+        let (client0, host0) = (
+            flushes("store.batch.flushes"),
+            flushes("runtime.host.batch.flushes"),
+        );
+        let host = BatchingTransport::hosted(&probe, 100);
+        host.send(env(0));
+        host.send(env(1));
+        host.flush_pending();
+        // Other tests in this binary flush client batches concurrently, so
+        // only the host counter's delta is exact.
+        assert_eq!(flushes("runtime.host.batch.flushes") - host0, 1);
+        assert!(flushes("runtime.host.batch.envelopes") >= 2);
+        let client = BatchingTransport::new(&probe, 100);
+        client.send(env(2));
+        client.flush_pending();
+        assert!(flushes("store.batch.flushes") > client0);
     }
 
     #[test]

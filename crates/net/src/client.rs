@@ -9,14 +9,19 @@
 //! crash-window exit writes the exempt amnesia signal *before* the
 //! triggering frame on the same FIFO connection. The schedule draws no
 //! `Reorder`/`Delay` on client→server links, so this endpoint never holds
-//! a frame back or starts a delayer.
+//! a frame back or starts a delayer. A batched send (one client's
+//! buffered requests) goes out as one `EnvBatch` frame per destination
+//! server, packed by [`Realizer::realize_batch`] — the packer the server
+//! endpoint uses for its replies.
 //!
-//! Inbound frames are replies: each reader thread admits every envelope —
+//! Inbound frames are replies: each reader thread reads its connection
+//! through a buffer and admits every envelope —
 //! an `Env` frame as a batch of one — through the connection's dedup
 //! window and routes it to the issuing client's lane by its `re` header
 //! via [`ReplyRouter`]; replies to retired tags count as
 //! `net.rpc.tag_mismatch_drops`.
 
+use std::io::BufReader;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -132,7 +137,9 @@ impl Shared {
         }
     }
 
-    fn reader_loop(&self, peer: usize, mut stream: crate::conn::Stream) {
+    fn reader_loop(&self, peer: usize, stream: crate::conn::Stream) {
+        // Buffered: frames that arrive back to back cost one read syscall.
+        let mut stream = BufReader::new(stream);
         let mut dedup = DedupWindow::new(1024);
         loop {
             let frame = match read_frame(&mut stream) {
@@ -349,29 +356,16 @@ impl Transport for NetClient {
     }
 
     fn send_batch(&self, envs: Vec<Envelope>) {
-        let ring = self.flight.thread_ring();
-        // Delivered entries grouped per destination, in first-appearance
-        // order. Fates are drawn per logical envelope, in the caller's
-        // order, BEFORE any batch frame is written — so the injector
-        // consumes the same per-link index sequence as the unbatched loop
-        // and crash signals still precede their triggering frames on the
-        // FIFO connection.
-        let mut per_dst: Vec<(Pid, Vec<TaggedEnv>)> = Vec::new();
-        for env in envs {
-            let put = |t: TaggedEnv| {
-                let dst = t.env.dst;
-                match per_dst.iter_mut().find(|(d, _)| *d == dst) {
-                    Some((_, bucket)) => bucket.push(t),
-                    None => per_dst.push((dst, vec![t])),
-                }
-            };
-            let signal = |crash| write(&self.pool, self.tagged(crash));
-            self.realizer.realize(self.tagged(env), &ring, put, signal);
-        }
-        for (dst, entries) in per_dst {
+        let signal = |crash| write(&self.pool, self.tagged(crash));
+        let items = envs.into_iter().map(|env| self.tagged(env));
+        let frames = self
+            .realizer
+            .realize_batch(items, &self.flight.thread_ring(), signal);
+        for (dst, entries) in frames {
+            let n = entries.len() as u64;
             blunt_obs::static_counter!("net.batch.frames").inc();
-            blunt_obs::static_counter!("net.batch.envelopes").add(entries.len() as u64);
-            blunt_obs::histogram("net.batch.envelopes_per_frame").record(entries.len() as u64);
+            blunt_obs::static_counter!("net.batch.envelopes").add(n);
+            blunt_obs::static_histogram!("net.batch.envelopes_per_frame").record(n);
             let _ = self.pool.send(dst.index(), &Frame::EnvBatch { entries });
         }
     }

@@ -19,7 +19,8 @@
 //! overtakes it, or hands a delay to the delayer thread — started on the
 //! first `Delay` fate, so client→server endpoints and fault-free runs
 //! never start one. [`Realizer::flush`] releases the held items, then
-//! drains and joins the delayer.
+//! drains and joins the delayer. [`Realizer::realize_batch`] is the
+//! batched form both socket endpoints pack their `EnvBatch` frames with.
 
 use std::collections::HashSet;
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
@@ -376,6 +377,34 @@ impl<T: Carried> Realizer<T> {
             put(item);
         }
         Some(fate)
+    }
+
+    /// Realizes `items` in order, each exactly as [`Realizer::realize`]
+    /// would, and packs what they deliver now per destination, in
+    /// first-appearance order — the frames of one batched send, for both
+    /// socket endpoints. Fates are drawn per logical item, so the link
+    /// indices consumed (and with them stats and coverage) equal the
+    /// one-by-one realization's. Crash signals go to `signal` as they are
+    /// drawn, before the caller writes any packed item, so a signal still
+    /// precedes its triggering item on a FIFO connection.
+    pub fn realize_batch(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        ring: &FlightRing,
+        mut signal: impl FnMut(Envelope),
+    ) -> Vec<(Pid, Vec<T>)> {
+        let mut per_dst: Vec<(Pid, Vec<T>)> = Vec::new();
+        for item in items {
+            let put = |t: T| {
+                let dst = t.envelope().dst;
+                match per_dst.iter_mut().find(|(d, _)| *d == dst) {
+                    Some((_, bucket)) => bucket.push(t),
+                    None => per_dst.push((dst, vec![t])),
+                }
+            };
+            self.realize(item, ring, put, &mut signal);
+        }
+        per_dst
     }
 
     /// End of run — nothing will overtake them anymore: releases every

@@ -24,13 +24,21 @@
 //! - [`client`] / [`server`] — the two socket endpoints: [`NetClient`]
 //!   (the driver process: client threads + monitor, owning the
 //!   client→server fault links) and [`NetServer`] (one `chaos serve`
-//!   process per server, owning its server→client links).
+//!   process per server, owning its server→client links). Both pack a
+//!   batched send into one `EnvBatch` frame per destination with the same
+//!   packer ([`Realizer::realize_batch`]).
+//! - [`batch`] — [`BatchingTransport`], the flush-scoped send buffer both
+//!   ends of a quorum round send through: each store client and each
+//!   hosted replica.
 //!
 //! ## Counters
 //!
 //! The socket tier feeds the `net.*` counter family: `net.frames_sent`,
 //! `net.frames_received`, `net.bytes_sent`, `net.bytes_received`,
-//! `net.reconnects`, `net.rpc.tag_mismatch_drops`, `net.rpc.dedup_drops`.
+//! `net.reconnects`, `net.rpc.tag_mismatch_drops`, `net.rpc.dedup_drops`;
+//! batched sends add `net.batch.{frames,envelopes}` (the driver's
+//! `EnvBatch` frames) and `net.server.batch.{frames,envelopes}` (a
+//! server's).
 //!
 //! ## Fault semantics across backends
 //!
@@ -45,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod batch;
 pub mod client;
 pub mod conn;
 pub mod coverage;
@@ -56,6 +65,7 @@ pub mod rpc;
 pub mod server;
 pub mod wire;
 
+pub use batch::BatchingTransport;
 pub use client::{NetClient, NetClientCfg, RemoteServer, ServerGoodbye, ServerTelemetry};
 pub use conn::{Addr, Listener, Stream};
 pub use coverage::{Coverage, LinkCoverage};

@@ -8,14 +8,19 @@
 //! the shared [`Realizer`], whose `Reorder` hold-backs and `Delay` thread
 //! (both drawn on these links only) are the bus's own. This endpoint's
 //! sink writes the tagged frame to the driver, or — for recovery traffic,
-//! always exempt — to the peer server.
+//! always exempt — to the peer server. A batched send (the replies one
+//! replica's host buffered over an idle period) draws its fates per entry
+//! and goes out as one `EnvBatch` frame per destination, packed by the
+//! same [`Realizer::realize_batch`] as the driver's requests; items the
+//! delayer or a final flush releases later still go out as single `Env`
+//! frames.
 //!
 //! Inbound `Shutdown` raises the stop flag; the runtime then reports the
 //! server's crash/recovery/WAL stats back with [`NetServer::goodbye`].
 //! Dropping the [`NetServer`] closes its listener and joins the accept
 //! thread, so the address is free again once the server is gone.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -100,15 +105,19 @@ struct Outbound {
 }
 
 impl Outbound {
-    /// Writes `t` as an `Env` frame to its destination. A failed write is
-    /// a lost frame; retransmission recovers.
+    /// Writes `t` as an `Env` frame to its destination.
     fn write(&self, t: TaggedEnv) {
         let dst = t.env.dst;
-        let frame = t.into();
+        self.send(dst, &t.into());
+    }
+
+    /// Writes `frame` to `dst`: the driver, or a peer server. A failed
+    /// write is a lost frame; retransmission recovers.
+    fn send(&self, dst: Pid, frame: &Frame) {
         if dst.0 < self.servers {
-            let _ = self.peers.send(dst.index(), &frame);
+            let _ = self.peers.send(dst.index(), frame);
         } else {
-            self.driver.write(&frame);
+            self.driver.write(frame);
         }
     }
 }
@@ -137,18 +146,20 @@ fn admit(
 fn conn_loop(
     me: Pid,
     flight: &FlightRecorder,
-    mut stream: Stream,
+    stream: Stream,
     mailbox: &Sender<Envelope>,
     driver: &DriverSlot,
     stop: &AtomicBool,
     dedup_epoch: &AtomicU64,
 ) {
+    // Buffered: frames that arrive back to back cost one read syscall.
+    let mut stream = BufReader::new(stream);
     let (hello, hello_t) = match read_frame(&mut stream) {
         Ok(Some(Frame::Hello { node, t_us })) => (node, t_us),
         _ => return,
     };
     if hello == DRIVER_NODE {
-        if let Ok(writer) = stream.try_clone() {
+        if let Ok(writer) = stream.get_ref().try_clone() {
             *driver.0.lock().expect("driver slot lock") = Some(writer);
         }
         // Echo the driver's timestamp with our own flight clock — the same
@@ -354,6 +365,19 @@ impl Transport for NetServer {
         let signal = |crash| self.out.write(self.tagged(crash));
         self.realizer
             .realize(self.tagged(env), &self.flight.thread_ring(), put, signal);
+    }
+
+    fn send_batch(&self, envs: Vec<Envelope>) {
+        let signal = |crash| self.out.write(self.tagged(crash));
+        let items = envs.into_iter().map(|env| self.tagged(env));
+        let frames = self
+            .realizer
+            .realize_batch(items, &self.flight.thread_ring(), signal);
+        for (dst, entries) in frames {
+            blunt_obs::static_counter!("net.server.batch.frames").inc();
+            blunt_obs::static_counter!("net.server.batch.envelopes").add(entries.len() as u64);
+            self.out.send(dst, &Frame::EnvBatch { entries });
+        }
     }
 
     fn on_crash(&self) {

@@ -13,6 +13,16 @@
 //! Nothing in a replica blocks: every step is a reaction to one envelope,
 //! so replicas that are each other's peers can share a thread.
 //!
+//! **Drain, then flush.** Each replica sends through its own
+//! [`BatchingTransport`]: its replies, acks and recovery traffic
+//! accumulate while the host works through its mailbox and leave as one
+//! batch per replica — one `EnvBatch` frame per destination on the socket
+//! tier — when the mailbox runs dry (right after that replica's WAL group
+//! commit, so the acks the commit releases leave in the same flush), when
+//! 64 have accumulated, and before the replica's crash is handled. A
+//! flush runs with the sending replica's flight ring bound, so its
+//! `BusSend` and fault events land in that replica's `server-<pid>` ring.
+//!
 //! **Crash recovery.** Under [`RecoveryMode::Amnesia`] every replica keeps a
 //! write-ahead log ([`MultiWal`]) and obeys the *write-ahead ack
 //! discipline*: an update is acknowledged only once a WAL record with a
@@ -47,7 +57,7 @@ use blunt_abd::server::StoreState;
 use blunt_abd::ts::Ts;
 use blunt_core::ids::{ObjId, Pid};
 use blunt_core::value::Val;
-use blunt_net::{SpanCtx, Transport};
+use blunt_net::{BatchingTransport, SpanCtx, Transport};
 use blunt_obs::{FlightKind, FlightRecorder, FlightRing};
 
 use crate::bus::{Envelope, Payload};
@@ -60,6 +70,10 @@ const IDLE_POLL: Duration = Duration::from_millis(20);
 /// The idle poll while some hosted replica is catching up, so a shutdown
 /// cuts a catch-up short promptly.
 const CATCHUP_POLL: Duration = Duration::from_millis(5);
+
+/// How many sends one replica buffers before they leave without waiting
+/// for the mailbox to run dry.
+const REPLY_BATCH_MAX: usize = 64;
 
 /// One replica for a host to drive.
 #[derive(Clone, Debug)]
@@ -112,7 +126,7 @@ pub fn host_loop(
             Err(TryRecvError::Empty) => {
                 // The mailbox ran dry: group-commit every replica's pending
                 // records now, so a withheld ack never waits for the host to
-                // go quiet.
+                // go quiet, then send what every replica buffered.
                 host.flush_all();
                 let poll = if host.any_recovering() {
                     CATCHUP_POLL
@@ -131,19 +145,17 @@ pub fn host_loop(
                         }
                         continue;
                     }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        host.abort_catchups();
-                        return;
-                    }
+                    Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            Err(TryRecvError::Disconnected) => {
-                host.abort_catchups();
-                return;
-            }
+            Err(TryRecvError::Disconnected) => break,
         };
         host.dispatch(env);
     }
+    // Every sender is gone: cut open catch-ups short and send what they
+    // released.
+    host.abort_catchups();
+    host.flush_all();
 }
 
 /// The replicas of one host plus the pid → replica index.
@@ -215,11 +227,21 @@ impl<'a> Host<'a> {
         }
     }
 
+    /// The dry point, replica by replica under its own ring: group-commit
+    /// the WAL, then send the buffered replies — the acks that commit just
+    /// released among them, so they leave in this flush and never before
+    /// their records are durable.
     fn flush_all(&mut self) {
         for i in 0..self.replicas.len() {
-            if self.replicas[i].wal.unsynced_len() > 0 {
-                self.act_as(i).flush_wal();
+            let r = &self.replicas[i];
+            if r.wal.unsynced_len() == 0 && r.out.is_empty() {
+                continue;
             }
+            let r = self.act_as(i);
+            if r.wal.unsynced_len() > 0 {
+                r.flush_wal();
+            }
+            r.out.flush_pending();
         }
     }
 
@@ -274,7 +296,9 @@ struct Catchup {
 struct Replica<'a> {
     me: Pid,
     group: Vec<Pid>,
-    bus: &'a dyn Transport,
+    /// Every send of this replica: buffered until the host's mailbox runs
+    /// dry (or [`REPLY_BATCH_MAX`] accumulate), then one batch.
+    out: BatchingTransport<'a>,
     sink: Arc<RecoverySink>,
     state: StoreState,
     wal: MultiWal,
@@ -305,7 +329,7 @@ impl<'a> Replica<'a> {
         Replica {
             me: r.me,
             group: r.group,
-            bus,
+            out: BatchingTransport::hosted(bus, REPLY_BATCH_MAX),
             sink: r.sink,
             state: StoreState::new(Val::Nil),
             wal: MultiWal::new(fsync_interval),
@@ -344,7 +368,7 @@ impl<'a> Replica<'a> {
                 // its own write-back, so a later crash here cannot un-happen
                 // an observed read (docs/RUNTIME.md).
                 let reply = self.state.reply(obj, sn);
-                self.bus.send(
+                self.out.send(
                     Envelope::abd(self.me, src, reply, exempt)
                         .in_reply_to(re)
                         .with_span(span.reply()),
@@ -360,7 +384,7 @@ impl<'a> Replica<'a> {
                         u64::from(sn),
                         span.flight_word(),
                     );
-                    self.bus.send(
+                    self.out.send(
                         Envelope::abd(self.me, src, AbdMsg::Ack { obj, sn }, exempt)
                             .in_reply_to(re)
                             .with_span(span.reply()),
@@ -386,7 +410,7 @@ impl<'a> Replica<'a> {
                         u64::from(sn),
                         span.flight_word(),
                     );
-                    self.bus.send(
+                    self.out.send(
                         Envelope::abd(self.me, src, AbdMsg::Ack { obj, sn }, true)
                             .in_reply_to(re)
                             .with_span(span.reply()),
@@ -447,7 +471,7 @@ impl<'a> Replica<'a> {
                     a.span.flight_word(),
                 );
                 // Exempt like every amnesia-mode ack (see `handle_abd`).
-                self.bus.send(
+                self.out.send(
                     Envelope::abd(
                         self.me,
                         a.dst,
@@ -467,7 +491,7 @@ impl<'a> Replica<'a> {
     }
 
     fn answer_state_query(&self, peer: Pid, sn: u64, re: u64) {
-        self.bus.send(Envelope {
+        self.out.send(Envelope {
             src: self.me,
             dst: peer,
             msg: Payload::StateReply {
@@ -531,15 +555,16 @@ impl<'a> Replica<'a> {
     /// recovery started, or `None` for the intentionally-broken recovery,
     /// which never runs.
     fn crash_and_replay(&mut self) -> Option<Instant> {
+        // What the replica sent before the crash leaves first; volatile
+        // transport-side state (socket dedup windows) then dies with the
+        // server — the in-process bus keeps none and no-ops this.
+        self.out.on_crash();
         // The crash: unsynced WAL suffix and all volatile state are gone.
         // Withheld acks die with their records — the clients retransmit and
         // the updates are re-logged.
         let lost = self.wal.lose_unsynced();
         self.pending_acks.clear();
         self.state.forget();
-        // Volatile transport-side state (socket dedup windows) dies with
-        // the server too; the in-process bus keeps none and no-ops this.
-        self.bus.on_crash();
         self.sink.on_crash(lost as u64);
         self.ring
             .record(FlightKind::ServerCrash, self.me.0, lost as u64, 0);
@@ -587,7 +612,7 @@ impl<'a> Replica<'a> {
         self.catchup_sn += 1;
         let sn = self.catchup_sn;
         for p in &peers {
-            self.bus.send(Envelope {
+            self.out.send(Envelope {
                 src: self.me,
                 dst: *p,
                 msg: Payload::StateQuery { sn },
@@ -653,7 +678,8 @@ impl<'a> Replica<'a> {
 mod tests {
     use super::*;
     use crate::bus::Bus;
-    use blunt_net::FaultConfig;
+    use blunt_net::{Coverage, FaultConfig, TransportStats};
+    use std::sync::Mutex;
     use std::thread;
 
     const BOUND: Duration = Duration::from_secs(10);
@@ -836,5 +862,179 @@ mod tests {
             reply.msg,
             Payload::Abd(AbdMsg::Reply { sn: 1, .. })
         ));
+    }
+
+    /// What the host handed its transport: one entry per call, each the
+    /// `(message kind, sn)` of the envelopes it carried.
+    type Batches = Vec<Vec<(&'static str, u64)>>;
+
+    /// A bus that records every batch the host hands it.
+    struct Probe {
+        bus: Bus,
+        batches: Mutex<Batches>,
+    }
+
+    fn shape(env: &Envelope) -> (&'static str, u64) {
+        match &env.msg {
+            Payload::Abd(AbdMsg::Reply { sn, .. }) => ("reply", u64::from(*sn)),
+            Payload::Abd(AbdMsg::Ack { sn, .. }) => ("ack", u64::from(*sn)),
+            Payload::Abd(_) => ("request", 0),
+            Payload::Crash { window } => ("crash", *window),
+            Payload::StateQuery { sn } => ("state_query", *sn),
+            Payload::StateReply { sn, .. } => ("state_reply", *sn),
+        }
+    }
+
+    impl Transport for Probe {
+        fn send(&self, env: Envelope) {
+            self.batches.lock().unwrap().push(vec![shape(&env)]);
+            self.bus.send(env);
+        }
+
+        fn send_batch(&self, envs: Vec<Envelope>) {
+            self.batches
+                .lock()
+                .unwrap()
+                .push(envs.iter().map(shape).collect());
+            self.bus.send_batch(envs);
+        }
+
+        fn flush(&self) {
+            self.bus.flush();
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.bus.stats()
+        }
+
+        fn coverage(&self) -> Coverage {
+            self.bus.coverage()
+        }
+    }
+
+    /// Runs one amnesia replica (pid 0, alone in its group) on a host over
+    /// everything `queue` enqueues, with the stop flag already raised: the
+    /// host works through its mailbox, flushes at the dry point, and
+    /// returns after one idle poll. Returns the batches it sent and replica
+    /// 0's flight events.
+    fn run_queued(queue: impl FnOnce(&Bus)) -> (Batches, Vec<FlightKind>) {
+        let recorder = Arc::new(FlightRecorder::new(256));
+        let (bus, mut rxs) = Bus::with_mailboxes(
+            0,
+            FaultConfig::none(),
+            1,
+            &[0, 1],
+            false,
+            Arc::clone(&recorder),
+        )
+        .unwrap();
+        let host_rx = rxs.remove(0);
+        queue(&bus);
+        let probe = Probe {
+            bus,
+            batches: Mutex::new(Vec::new()),
+        };
+        let sink = Arc::new(RecoverySink::default());
+        let stop = AtomicBool::new(true);
+        host_loop(
+            vec![replica(0, &[0], &sink)],
+            host_rx,
+            &probe,
+            &stop,
+            &recorder,
+        );
+        let events = recorder
+            .dump()
+            .events
+            .into_iter()
+            .filter(|e| e.ring == "server-0")
+            .map(|e| e.kind)
+            .collect();
+        (probe.batches.into_inner().unwrap(), events)
+    }
+
+    fn update(client: u32, sn: u32) -> Envelope {
+        let write = AbdMsg::Update {
+            obj: ObjId(0),
+            sn,
+            val: Val::Int(7),
+            ts: Ts::new(1, Pid(client)),
+        };
+        Envelope::abd(Pid(client), Pid(0), write, false)
+    }
+
+    /// The ack a dry-point fsync releases leaves in that same flush, with
+    /// the reply buffered before it — one batch, after the WAL flush.
+    #[test]
+    fn a_dry_point_ack_leaves_in_the_flush_after_its_fsync() {
+        let (batches, events) = run_queued(|bus| {
+            bus.send(query(1, 0, 1));
+            bus.send(update(1, 2));
+        });
+        assert_eq!(batches, vec![vec![("reply", 1), ("ack", 2)]]);
+        let flushed = events.iter().position(|k| *k == FlightKind::WalFlush);
+        let acked = events.iter().position(|k| *k == FlightKind::ServerAck);
+        let sent = events.iter().rposition(|k| *k == FlightKind::BusSend);
+        assert!(
+            flushed < acked && acked < sent && flushed.is_some(),
+            "fsync, then the ack's release, then its send: {events:?}"
+        );
+    }
+
+    /// What a replica buffered before its crash leaves before the crash is
+    /// handled, not with the replies it serves after recovering.
+    #[test]
+    fn a_replicas_buffer_is_flushed_before_its_crash_is_handled() {
+        let (batches, events) = run_queued(|bus| {
+            bus.send(query(1, 0, 1));
+            bus.send(crash(0));
+            bus.send(query(1, 0, 2));
+        });
+        assert_eq!(batches, vec![vec![("reply", 1)], vec![("reply", 2)]]);
+        let first_send = events.iter().position(|k| *k == FlightKind::BusSend);
+        let crash = events.iter().position(|k| *k == FlightKind::ServerCrash);
+        assert!(
+            first_send < crash && first_send.is_some(),
+            "the pre-crash reply is sent before the crash: {events:?}"
+        );
+    }
+
+    /// Two replicas on one host answer in the same idle period; each
+    /// replica's batch is realized with its own ring bound, so its
+    /// `BusSend` and fault events land in its `server-<pid>` ring.
+    #[test]
+    fn each_replicas_flush_records_into_its_own_ring() {
+        let recorder = Arc::new(FlightRecorder::new(1024));
+        let faults = FaultConfig {
+            drop_per_mille: 300,
+            ..FaultConfig::none()
+        };
+        // Pids 0 and 1 share mailbox 0; client pid 2 has mailbox 1.
+        let (bus, mut rxs) =
+            Bus::with_mailboxes(5, faults, 2, &[0, 0, 1], false, Arc::clone(&recorder)).unwrap();
+        let host_rx = rxs.remove(0);
+        for sn in 0..24 {
+            bus.send(query(2, sn % 2, sn));
+        }
+        let sink = Arc::new(RecoverySink::default());
+        let replicas = vec![replica(0, &[0, 1], &sink), replica(1, &[0, 1], &sink)];
+        host_loop(replicas, host_rx, &bus, &AtomicBool::new(true), &recorder);
+        let mut sends = [0, 0];
+        let mut faults_seen = 0;
+        for e in recorder.dump().events {
+            let send = e.kind == FlightKind::BusSend;
+            // pid is the sender: 0 and 1 are the replicas, 2 the client.
+            if e.pid >= 2 || !(send || e.kind == FlightKind::FaultDrop) {
+                continue;
+            }
+            assert_eq!(e.ring, format!("server-{}", e.pid), "{e:?}");
+            if send {
+                sends[e.pid as usize] += 1;
+            } else {
+                faults_seen += 1;
+            }
+        }
+        assert!(sends[0] > 0 && sends[1] > 0, "both replicas replied");
+        assert!(faults_seen > 0, "some replies drew a drop");
     }
 }

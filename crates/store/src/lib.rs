@@ -13,7 +13,8 @@
 //! *pipelined*: each keeps up to `pipeline_depth` operations in flight at
 //! once (per-key program order preserved — two ops on the same key never
 //! overlap from one client), and their quorum fan-out is *batched*: a
-//! per-client [`batch::BatchingTransport`] coalesces protocol sends into
+//! per-client [`BatchingTransport`] (`blunt_net`'s, the same layer the
+//! replica hosts send their replies through) coalesces protocol sends into
 //! `send_batch` calls that the socket tier packs into single `EnvBatch`
 //! frames per destination. Fault fates are still drawn per logical envelope
 //! in send order, so batching amortizes syscalls without perturbing the
@@ -37,12 +38,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod ring;
 pub mod run;
 mod watch;
 
-pub use batch::BatchingTransport;
+pub use blunt_net::BatchingTransport;
 pub use ring::{HashRing, VNODES};
 pub use run::{
     run_store, run_store_net, run_store_net_with, run_store_with, RunOptions, StoreConfig,

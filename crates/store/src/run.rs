@@ -23,7 +23,7 @@
 //! is schedule-independent. Pipelining changes only *when* messages leave
 //! relative to each other, and batching changes only how they are framed;
 //! fault fates are drawn per logical envelope in send order either way
-//! (see [`crate::batch`]).
+//! (see [`BatchingTransport`]).
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
@@ -39,8 +39,8 @@ use blunt_core::history::Action;
 use blunt_core::ids::{InvId, MethodId, ObjId, Pid};
 use blunt_core::value::Val;
 use blunt_net::{
-    Addr, Coverage, Envelope, FaultConfig, FaultConfigError, NetClient, NetClientCfg, Payload,
-    RemoteServer, SpanCtx, Transport, TransportStats,
+    Addr, BatchingTransport, Coverage, Envelope, FaultConfig, FaultConfigError, NetClient,
+    NetClientCfg, Payload, RemoteServer, SpanCtx, Transport, TransportStats,
 };
 use blunt_obs::flight::{encode_val, KEY_NONE};
 use blunt_obs::{FlightDump, FlightKind, FlightRecorder, FlightRing, Histogram, HistogramSnapshot};
@@ -50,7 +50,6 @@ use blunt_runtime::{
 };
 use blunt_sim::rng::{RandomSource, SplitMix64};
 
-use crate::batch::BatchingTransport;
 use crate::ring::HashRing;
 use crate::watch::{Telemetry, WatchCtx, Watcher};
 
@@ -1178,13 +1177,16 @@ fn store_client_loop(c: u32, shared: &Clients<'_>, rx: Receiver<Envelope>) {
                     },
                 );
             }
+            // The replies being waited on can't arrive until the requests
+            // actually leave. Flushed before the idle check too: a drained
+            // batch can complete an op on a quorum while its phase message
+            // to the slowest replica still sits in the buffer, and that
+            // message must leave (it is one of the link's scheduled sends).
+            bt.flush_pending();
             if active.is_empty() {
                 debug_assert!(pending.is_empty(), "startable ops exist while idle");
                 break;
             }
-            // The replies being waited on can't arrive until the requests
-            // actually leave.
-            bt.flush_pending();
 
             // Sleep until the earliest shard retransmission deadline; each
             // shard's backoff runs on its own clock.
@@ -1195,162 +1197,154 @@ fn store_client_loop(c: u32, shared: &Clients<'_>, rx: Receiver<Envelope>) {
                 .map(|d| d.saturating_duration_since(now))
                 .min()
                 .unwrap_or(initial_wait);
-            match rx.recv_timeout(timeout) {
-                Ok(env) => {
-                    let src_shard =
-                        (env.src.0 < servers_total).then(|| env.src.0 / cfg.servers_per_shard);
-                    ring.record_span(
-                        FlightKind::BusDeliver,
-                        me.0,
-                        u64::from(env.src.0),
-                        env.msg.flight_label(),
-                        env.span.flight_word(),
-                    );
-                    // Any frame from a shard's replica is progress: reset
-                    // that shard's backoff and clear its degraded flag.
-                    if let Some(s) = src_shard {
-                        health[s as usize].on_message(initial_wait, Instant::now());
-                    }
-                    let Payload::Abd(msg) = env.msg else {
-                        continue; // control traffic never targets clients
-                    };
-                    match msg {
-                        AbdMsg::Reply {
-                            obj,
-                            sn: msg_sn,
-                            val,
-                            ts,
-                        } => {
-                            let Some(mut fl) = active.remove(&msg_sn) else {
-                                continue; // stale round, already finished
-                            };
-                            if fl.spec.key != obj {
-                                active.insert(msg_sn, fl);
-                                continue;
-                            }
-                            match &mut fl.machine {
-                                Machine::Broken { .. } => {
-                                    complete_op(
-                                        c,
-                                        &fl,
-                                        val,
-                                        &local,
-                                        &ring,
-                                        shared,
-                                        &mut active_keys,
-                                    );
-                                    let h = &mut health[fl.spec.shard as usize];
-                                    h.in_flight -= 1;
-                                    if h.in_flight == 0 {
-                                        h.due = None;
-                                    }
-                                }
-                                Machine::Abd(op) => {
-                                    match op.on_reply(
-                                        env.src,
-                                        msg_sn,
-                                        &val,
-                                        ts,
-                                        quorum,
-                                        me,
-                                        &mut sn_counter,
-                                    ) {
-                                        ReplyEffect::StartUpdate {
-                                            sn: new_sn,
-                                            val,
-                                            ts,
-                                            ..
-                                        } => {
-                                            bt.broadcast_span(
-                                                me,
-                                                &shard_servers[fl.spec.shard as usize],
-                                                &AbdMsg::Update {
-                                                    obj,
-                                                    sn: new_sn,
-                                                    val,
-                                                    ts,
-                                                },
-                                                false,
-                                                fl.span,
-                                            );
-                                            active.insert(new_sn, fl);
-                                        }
-                                        ReplyEffect::NextQuery { sn: new_sn, .. } => {
-                                            bt.broadcast_span(
-                                                me,
-                                                &shard_servers[fl.spec.shard as usize],
-                                                &AbdMsg::Query { obj, sn: new_sn },
-                                                false,
-                                                fl.span,
-                                            );
-                                            active.insert(new_sn, fl);
-                                        }
-                                        ReplyEffect::NeedChoice { .. } => {
-                                            // The object random step: its
-                                            // choice was drawn at burst setup.
-                                            let (new_sn, val, ts) =
-                                                op.choose(fl.spec.choice, me, &mut sn_counter);
-                                            bt.broadcast_span(
-                                                me,
-                                                &shard_servers[fl.spec.shard as usize],
-                                                &AbdMsg::Update {
-                                                    obj,
-                                                    sn: new_sn,
-                                                    val,
-                                                    ts,
-                                                },
-                                                false,
-                                                fl.span,
-                                            );
-                                            active.insert(new_sn, fl);
-                                        }
-                                        ReplyEffect::Ignored | ReplyEffect::Counted => {
-                                            active.insert(msg_sn, fl);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        AbdMsg::Ack { obj, sn: msg_sn } => {
-                            let Some(mut fl) = active.remove(&msg_sn) else {
-                                continue;
-                            };
-                            if fl.spec.key != obj {
-                                active.insert(msg_sn, fl);
-                                continue;
-                            }
-                            let Machine::Abd(op) = &mut fl.machine else {
-                                active.insert(msg_sn, fl);
-                                continue;
-                            };
-                            match op.on_ack(env.src, msg_sn, quorum) {
-                                AckEffect::Complete { ret } => {
-                                    complete_op(
-                                        c,
-                                        &fl,
-                                        ret,
-                                        &local,
-                                        &ring,
-                                        shared,
-                                        &mut active_keys,
-                                    );
-                                    let h = &mut health[fl.spec.shard as usize];
-                                    h.in_flight -= 1;
-                                    if h.in_flight == 0 {
-                                        h.due = None;
-                                    }
-                                }
-                                AckEffect::Ignored | AckEffect::Counted => {
-                                    active.insert(msg_sn, fl);
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
+            // Drain, then flush: everything already in the mailbox is
+            // handled before anything more is sent, so the follow-ups of
+            // replies that arrived together (next phases, refilled ops)
+            // leave together in the next flush. A stale or mismatched
+            // envelope skips only to the next drained one; the
+            // retransmission sweep below runs after every drained batch.
+            let first = match rx.recv_timeout(timeout) {
+                Ok(env) => Some(env),
+                Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => {
                     panic!("transport closed while store operations were in flight")
+                }
+            };
+            let queued = std::iter::from_fn(|| rx.try_recv().ok());
+            for env in first.into_iter().chain(queued) {
+                let src_shard =
+                    (env.src.0 < servers_total).then(|| env.src.0 / cfg.servers_per_shard);
+                ring.record_span(
+                    FlightKind::BusDeliver,
+                    me.0,
+                    u64::from(env.src.0),
+                    env.msg.flight_label(),
+                    env.span.flight_word(),
+                );
+                // Any frame from a shard's replica is progress: reset
+                // that shard's backoff and clear its degraded flag.
+                if let Some(s) = src_shard {
+                    health[s as usize].on_message(initial_wait, Instant::now());
+                }
+                let Payload::Abd(msg) = env.msg else {
+                    continue; // control traffic never targets clients
+                };
+                match msg {
+                    AbdMsg::Reply {
+                        obj,
+                        sn: msg_sn,
+                        val,
+                        ts,
+                    } => {
+                        let Some(mut fl) = active.remove(&msg_sn) else {
+                            continue; // stale round, already finished
+                        };
+                        if fl.spec.key != obj {
+                            active.insert(msg_sn, fl);
+                            continue;
+                        }
+                        match &mut fl.machine {
+                            Machine::Broken { .. } => {
+                                complete_op(c, &fl, val, &local, &ring, shared, &mut active_keys);
+                                let h = &mut health[fl.spec.shard as usize];
+                                h.in_flight -= 1;
+                                if h.in_flight == 0 {
+                                    h.due = None;
+                                }
+                            }
+                            Machine::Abd(op) => {
+                                match op.on_reply(
+                                    env.src,
+                                    msg_sn,
+                                    &val,
+                                    ts,
+                                    quorum,
+                                    me,
+                                    &mut sn_counter,
+                                ) {
+                                    ReplyEffect::StartUpdate {
+                                        sn: new_sn,
+                                        val,
+                                        ts,
+                                        ..
+                                    } => {
+                                        bt.broadcast_span(
+                                            me,
+                                            &shard_servers[fl.spec.shard as usize],
+                                            &AbdMsg::Update {
+                                                obj,
+                                                sn: new_sn,
+                                                val,
+                                                ts,
+                                            },
+                                            false,
+                                            fl.span,
+                                        );
+                                        active.insert(new_sn, fl);
+                                    }
+                                    ReplyEffect::NextQuery { sn: new_sn, .. } => {
+                                        bt.broadcast_span(
+                                            me,
+                                            &shard_servers[fl.spec.shard as usize],
+                                            &AbdMsg::Query { obj, sn: new_sn },
+                                            false,
+                                            fl.span,
+                                        );
+                                        active.insert(new_sn, fl);
+                                    }
+                                    ReplyEffect::NeedChoice { .. } => {
+                                        // The object random step: its
+                                        // choice was drawn at burst setup.
+                                        let (new_sn, val, ts) =
+                                            op.choose(fl.spec.choice, me, &mut sn_counter);
+                                        bt.broadcast_span(
+                                            me,
+                                            &shard_servers[fl.spec.shard as usize],
+                                            &AbdMsg::Update {
+                                                obj,
+                                                sn: new_sn,
+                                                val,
+                                                ts,
+                                            },
+                                            false,
+                                            fl.span,
+                                        );
+                                        active.insert(new_sn, fl);
+                                    }
+                                    ReplyEffect::Ignored | ReplyEffect::Counted => {
+                                        active.insert(msg_sn, fl);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    AbdMsg::Ack { obj, sn: msg_sn } => {
+                        let Some(mut fl) = active.remove(&msg_sn) else {
+                            continue;
+                        };
+                        if fl.spec.key != obj {
+                            active.insert(msg_sn, fl);
+                            continue;
+                        }
+                        let Machine::Abd(op) = &mut fl.machine else {
+                            active.insert(msg_sn, fl);
+                            continue;
+                        };
+                        match op.on_ack(env.src, msg_sn, quorum) {
+                            AckEffect::Complete { ret } => {
+                                complete_op(c, &fl, ret, &local, &ring, shared, &mut active_keys);
+                                let h = &mut health[fl.spec.shard as usize];
+                                h.in_flight -= 1;
+                                if h.in_flight == 0 {
+                                    h.due = None;
+                                }
+                            }
+                            AckEffect::Ignored | AckEffect::Counted => {
+                                active.insert(msg_sn, fl);
+                            }
+                        }
+                    }
+                    _ => {}
                 }
             }
             // Retransmission sweep: every shard whose deadline passed gets
